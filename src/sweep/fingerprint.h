@@ -45,7 +45,9 @@ namespace sweep {
 // recomputes capacity/latency after the max_nodes clamp.
 // v3: in-flight coalescer invalidation on mid-flight evict/expire/delete
 // (stale fills no longer admit or coalesce), sharded serving engine.
-inline constexpr std::string_view kSweepVersionSalt = "macaron-sweep-v3";
+// v4: event engine bills OSC operations of its final event drain and honors
+// enable_priming.
+inline constexpr std::string_view kSweepVersionSalt = "macaron-sweep-v4";
 
 struct Fingerprint {
   uint64_t hi = 0;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
 #include "src/sim/event_engine.h"
 #include "src/sim/replay_engine.h"
 #include "src/trace/splitter.h"
@@ -114,6 +115,29 @@ TEST(EventEngineTest, EgressBoundedByCompulsoryAndTotal) {
   const RunResult r = EventEngine(Config(Approach::kMacaronNoCluster)).Run(t);
   EXPECT_GE(r.egress_bytes, s.unique_get_bytes);
   EXPECT_LE(r.egress_bytes, s.get_bytes);
+}
+
+// Regression: events that run after the last window boundary (the final
+// queue drain) used to leave their OSC operations counted but never billed.
+// On ibm55 the last scheduled apply's eviction collects garbage blocks after
+// the final boundary's charge; their GC block reads went unbilled. Every
+// operation the OSC and the cluster counted must appear in the bill.
+TEST(EventEngineTest, FinalDrainOperationsAreBilled) {
+  const WorkloadProfile p = ProfileByName("ibm55");
+  const Trace t = SplitObjects(GenerateTrace(p), p.max_object_bytes);
+  for (Approach a : {Approach::kMacaronNoCluster, Approach::kMacaron}) {
+    EngineConfig cfg = Config(a);
+    cfg.num_minicaches = 48;
+    obs::MetricsRegistry metrics;
+    cfg.metrics = &metrics;
+    const RunResult r = EventEngine(cfg).Run(t);
+    const uint64_t gets = r.remote_fetches + r.osc_hits + metrics.CounterValue("osc", "gc_blocks") +
+                          metrics.CounterValue("cluster", "primed_objects");
+    const double counted = cfg.prices.PutCost(metrics.CounterValue("osc", "block_flushes")) +
+                           cfg.prices.GetCost(gets);
+    // One GET costs 4e-7; float summation noise is below 1e-12.
+    EXPECT_NEAR(r.costs.Get(CostCategory::kOperation), counted, 1e-10) << r.approach_name;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
+#include "src/sim/event_engine.h"
 #include "src/sim/replay_engine.h"
 #include "src/trace/splitter.h"
 #include "src/trace/synthetic.h"
@@ -127,6 +129,28 @@ TEST(PrimingTest, PrimingImprovesPostScaleOutLatency) {
   // Priming can only add cluster hits (§6.2: low-RPS workloads fill new
   // nodes too slowly on their own).
   EXPECT_GE(rp.cluster_hits, rc.cluster_hits);
+}
+
+// Both engines apply decisions through the same per-shard apply, so
+// enable_priming = false must prime nothing in either (the event engine used
+// to prime on every scale-out regardless of the flag).
+TEST(PrimingTest, DisabledPrimingPrimesNothingInEitherEngine) {
+  const Trace t = SmallTrace();
+  for (bool event_engine : {false, true}) {
+    for (bool enable : {true, false}) {
+      EngineConfig cfg = BaseConfig(Approach::kMacaron);
+      cfg.enable_priming = enable;
+      obs::MetricsRegistry metrics;
+      cfg.metrics = &metrics;
+      const RunResult r = event_engine ? EventEngine(cfg).Run(t) : ReplayEngine(cfg).Run(t);
+      const uint64_t primed = metrics.CounterValue("cluster", "primed_objects");
+      if (enable) {
+        EXPECT_GT(primed, 0u) << r.approach_name;
+      } else {
+        EXPECT_EQ(primed, 0u) << r.approach_name;
+      }
+    }
+  }
 }
 
 // --- Engine with non-LRU OSC policies ---
