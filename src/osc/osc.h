@@ -97,6 +97,8 @@ class ObjectStorageCache {
   };
   // Returns counters accumulated since the previous call and resets them.
   OpCounts TakeOps();
+  // Counters accumulated since the previous TakeOps (conservation checks).
+  const OpCounts& pending_ops() const { return ops_; }
 
   // Introspection for invariant checks (tests, debugging): per-block byte
   // and deadness counters, and the number of blocks awaiting GC. A dead
