@@ -17,10 +17,6 @@ void DecayedScalarAverage::Add(double value, double weight, double elapsed_days)
 
 WorkloadAnalyzer::WorkloadAnalyzer(const AnalyzerConfig& config, const LatencySampler* latency)
     : config_(config),
-      mrc_bank_(UniformSizeGrid(config.min_capacity_bytes,
-                                std::max(config.max_capacity_bytes, config.min_capacity_bytes * 2),
-                                config.num_minicaches),
-                config.sampling_ratio, /*salt=*/config.seed, config.policy),
       mrc_avg_(config.decay_per_day),
       bmc_avg_(config.decay_per_day),
       alc_avg_(config.alc_decay_per_day),
@@ -28,9 +24,19 @@ WorkloadAnalyzer::WorkloadAnalyzer(const AnalyzerConfig& config, const LatencySa
       writes_avg_(config.decay_per_day),
       object_bytes_avg_(config.decay_per_day),
       get_bytes_avg_(config.decay_per_day) {
+  // The capacity bank runs only when something reads it: the capacity
+  // optimizer, or the ALC bank, which shares its grid and tracks the OSC
+  // capacity. A TTL-only analyzer replays just the TTL bank.
+  if (!config.enable_ttl || config.enable_alc) {
+    mrc_bank_ = std::make_unique<MrcBank>(
+        UniformSizeGrid(config.min_capacity_bytes,
+                        std::max(config.max_capacity_bytes, config.min_capacity_bytes * 2),
+                        config.num_minicaches),
+        config.sampling_ratio, /*salt=*/config.seed, config.policy);
+  }
   if (config.enable_alc) {
     MACARON_CHECK(latency != nullptr);
-    alc_bank_ = std::make_unique<AlcBank>(mrc_bank_.grid(), mrc_bank_.grid().back(),
+    alc_bank_ = std::make_unique<AlcBank>(mrc_bank_->grid(), mrc_bank_->grid().back(),
                                           config.sampling_ratio, config.seed ^ 0xa1c,
                                           latency, config.seed ^ 0xa1c0);
   }
@@ -44,8 +50,10 @@ WorkloadAnalyzer::WorkloadAnalyzer(const AnalyzerConfig& config, const LatencySa
 }
 
 void WorkloadAnalyzer::SetExecution(ThreadPool* pool, bool async) {
-  mrc_bank_.set_thread_pool(pool);
-  mrc_bank_.set_async_replay(async);
+  if (mrc_bank_ != nullptr) {
+    mrc_bank_->set_thread_pool(pool);
+    mrc_bank_->set_async_replay(async);
+  }
   if (alc_bank_ != nullptr) {
     alc_bank_->set_thread_pool(pool);
     alc_bank_->set_async_replay(async);
@@ -57,7 +65,9 @@ void WorkloadAnalyzer::SetExecution(ThreadPool* pool, bool async) {
 }
 
 void WorkloadAnalyzer::Process(const Request& r) {
-  mrc_bank_.Process(r);
+  if (mrc_bank_ != nullptr) {
+    mrc_bank_->Process(r);
+  }
   if (alc_bank_ != nullptr) {
     alc_bank_->Process(r);
   }
@@ -90,7 +100,9 @@ void WorkloadAnalyzer::ProcessColumns(const ReplayBatch& chunk, size_t begin, si
   if (begin >= end) {
     return;
   }
-  mrc_bank_.ProcessColumns(chunk, begin, end);
+  if (mrc_bank_ != nullptr) {
+    mrc_bank_->ProcessColumns(chunk, begin, end);
+  }
   if (alc_bank_ != nullptr) {
     alc_bank_->ProcessColumns(chunk, begin, end);
   }
@@ -130,12 +142,22 @@ AnalyzerReport WorkloadAnalyzer::EndWindow(SimDuration elapsed) {
   AnalyzerReport report;
   report.window_requests = window_reads_ + window_writes_;
 
-  WindowCurves window = mrc_bank_.EndWindow();
-  const double weight = static_cast<double>(window.window_requests);
-  mrc_avg_.Add(window.mrc, weight, elapsed_days);
-  bmc_avg_.Add(window.bmc, weight, elapsed_days);
-  report.aggregated_mrc = mrc_avg_.Average();
-  report.aggregated_bmc = bmc_avg_.Average();
+  // Curve-averaging weight: the window's raw request count. The MRC and TTL
+  // banks both count every request, so either one gives the same weight.
+  double weight = 0.0;
+  if (mrc_bank_ != nullptr) {
+    WindowCurves window = mrc_bank_->EndWindow();
+    weight = static_cast<double>(window.window_requests);
+    mrc_avg_.Add(window.mrc, weight, elapsed_days);
+    bmc_avg_.Add(window.bmc, weight, elapsed_days);
+    report.aggregated_mrc = mrc_avg_.Average();
+    report.aggregated_bmc = bmc_avg_.Average();
+  }
+  std::optional<TtlWindowCurves> ttl;
+  if (ttl_bank_ != nullptr) {
+    ttl = ttl_bank_->EndWindow(elapsed);
+    weight = static_cast<double>(ttl->window_requests);
+  }
 
   reads_avg_.Add(static_cast<double>(window_reads_), 1.0, elapsed_days);
   writes_avg_.Add(static_cast<double>(window_writes_), 1.0, elapsed_days);
@@ -161,11 +183,10 @@ AnalyzerReport WorkloadAnalyzer::EndWindow(SimDuration elapsed) {
       report.latest_alc = alc_avg_.Average();
     }
   }
-  if (ttl_bank_ != nullptr) {
-    TtlWindowCurves ttl = ttl_bank_->EndWindow(elapsed);
-    ttl_mrc_avg_->Add(ttl.mrc, weight, elapsed_days);
-    ttl_bmc_avg_->Add(ttl.bmc, weight, elapsed_days);
-    ttl_cap_avg_->Add(ttl.capacity, weight, elapsed_days);
+  if (ttl.has_value()) {
+    ttl_mrc_avg_->Add(ttl->mrc, weight, elapsed_days);
+    ttl_bmc_avg_->Add(ttl->bmc, weight, elapsed_days);
+    ttl_cap_avg_->Add(ttl->capacity, weight, elapsed_days);
     report.aggregated_ttl_mrc = ttl_mrc_avg_->Average();
     report.aggregated_ttl_bmc = ttl_bmc_avg_->Average();
     report.aggregated_ttl_capacity = ttl_cap_avg_->Average();
@@ -174,7 +195,10 @@ AnalyzerReport WorkloadAnalyzer::EndWindow(SimDuration elapsed) {
 
   // Serverless accounting: each mini-cache runs as a Lambda over the sampled
   // window stream; wall time is the slowest (they run in parallel), billed
-  // GB-seconds sum over all of them.
+  // GB-seconds sum over all of them. The model counts the capacity bank's
+  // num_minicaches functions even in TTL-only mode, where the analyzer no
+  // longer replays them (a deliberate, byte-preserving divergence; see
+  // DESIGN.md "Analyzer pipeline").
   const double sampled =
       static_cast<double>(report.window_requests) * config_.sampling_ratio;
   const double per_function_seconds =
@@ -207,7 +231,9 @@ void WorkloadAnalyzer::RegisterMetrics(obs::MetricsRegistry* registry) {
   if (registry == nullptr) {
     requests_counter_ = nullptr;
     windows_counter_ = nullptr;
-    mrc_bank_.set_metrics(nullptr, nullptr);
+    if (mrc_bank_ != nullptr) {
+      mrc_bank_->set_metrics(nullptr, nullptr);
+    }
     if (alc_bank_ != nullptr) {
       alc_bank_->set_metrics(nullptr, nullptr);
     }
@@ -218,8 +244,10 @@ void WorkloadAnalyzer::RegisterMetrics(obs::MetricsRegistry* registry) {
   }
   requests_counter_ = registry->counter("analyzer", "requests");
   windows_counter_ = registry->counter("analyzer", "windows");
-  mrc_bank_.set_metrics(registry->counter("minisim", "mrc_batches"),
-                        registry->counter("minisim", "mrc_batch_requests"));
+  if (mrc_bank_ != nullptr) {
+    mrc_bank_->set_metrics(registry->counter("minisim", "mrc_batches"),
+                           registry->counter("minisim", "mrc_batch_requests"));
+  }
   if (alc_bank_ != nullptr) {
     alc_bank_->set_metrics(registry->counter("minisim", "alc_batches"),
                            registry->counter("minisim", "alc_batch_requests"));

@@ -265,18 +265,24 @@ TEST(AnalyzerTest, TtlCurvesWhenEnabled) {
   EXPECT_EQ(r.aggregated_ttl_mrc->xs(), r.aggregated_ttl_capacity->xs());
 }
 
-TEST(AnalyzerTest, EmptyWindowYieldsFiniteCurvesAndOptimizerSafety) {
-  // A window with no requests at all must not leak NaN/inf into the report
-  // or into OptimizeCapacity (zero sampled GETs means zero-weight curve
-  // aggregation and a division-by-zero hazard in the estimators).
+AnalyzerConfig EmptyWindowConfig(bool enable_ttl) {
   AnalyzerConfig cfg;
   cfg.sampling_ratio = 0.05;
   cfg.num_minicaches = 8;
   cfg.min_capacity_bytes = 1000;
   cfg.max_capacity_bytes = 100000;
-  cfg.enable_ttl = true;
+  cfg.enable_ttl = enable_ttl;
   cfg.max_ttl = 2 * kDay;
-  WorkloadAnalyzer analyzer(cfg, nullptr);
+  return cfg;
+}
+
+TEST(AnalyzerTest, EmptyWindowYieldsFiniteCurvesAndOptimizerSafety) {
+  // A window with no requests at all must not leak NaN/inf into the report
+  // or into OptimizeCapacity (zero sampled GETs means zero-weight curve
+  // aggregation and a division-by-zero hazard in the estimators). The
+  // capacity curves come from a capacity-mode analyzer; the TTL half is
+  // EmptyWindowYieldsFiniteTtlCurves.
+  WorkloadAnalyzer analyzer(EmptyWindowConfig(/*enable_ttl=*/false), nullptr);
   const AnalyzerReport r = analyzer.EndWindow(15 * kMinute);
   EXPECT_EQ(r.window_requests, 0u);
   ASSERT_FALSE(r.aggregated_mrc.empty());
@@ -299,6 +305,26 @@ TEST(AnalyzerTest, EmptyWindowYieldsFiniteCurvesAndOptimizerSafety) {
   const CapacityDecision d = OptimizeCapacity(in, p);
   EXPECT_TRUE(std::isfinite(d.expected_cost));
   EXPECT_EQ(d.capacity_bytes, static_cast<uint64_t>(r.aggregated_mrc.x(0)));
+}
+
+TEST(AnalyzerTest, EmptyWindowYieldsFiniteTtlCurves) {
+  // The TTL-mode half of the empty-window check. A TTL-only analyzer runs
+  // no MRC bank, so its capacity curves are empty by design; its scalars
+  // and TTL curves must still be zero and finite.
+  WorkloadAnalyzer analyzer(EmptyWindowConfig(/*enable_ttl=*/true), nullptr);
+  const AnalyzerReport r = analyzer.EndWindow(15 * kMinute);
+  EXPECT_EQ(r.window_requests, 0u);
+  EXPECT_TRUE(r.aggregated_mrc.empty());
+  EXPECT_TRUE(r.aggregated_bmc.empty());
+  EXPECT_EQ(r.expected_window_reads, 0.0);
+  EXPECT_EQ(r.mean_object_bytes, 0.0);
+  ASSERT_TRUE(r.aggregated_ttl_mrc.has_value());
+  ASSERT_FALSE(r.aggregated_ttl_mrc->empty());
+  for (size_t i = 0; i < r.aggregated_ttl_mrc->size(); ++i) {
+    EXPECT_TRUE(std::isfinite(r.aggregated_ttl_mrc->y(i))) << i;
+    EXPECT_TRUE(std::isfinite(r.aggregated_ttl_bmc->y(i))) << i;
+    EXPECT_TRUE(std::isfinite(r.aggregated_ttl_capacity->y(i))) << i;
+  }
 }
 
 TEST(AnalyzerTest, EmptyWindowAfterTrafficKeepsAggregates) {

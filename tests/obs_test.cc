@@ -289,10 +289,16 @@ TEST(ReplayEngineObsTest, TraceIsIdenticalAcrossAnalyzerThreadCounts) {
 TEST(ReplayEngineObsTest, TtlTraceMatchesTtlTimeline) {
   const Trace t = SmallTrace();
   obs::DecisionTrace trace;
+  obs::MetricsRegistry metrics;
   EngineConfig cfg = BaseConfig(Approach::kMacaronTtl);
   cfg.measure_latency = false;
   cfg.decision_trace = &trace;
+  cfg.metrics = &metrics;
   const RunResult r = ReplayEngine(cfg).Run(t);
+  // A TTL-only analyzer replays the TTL bank and never the capacity bank
+  // (the kMacaron run above counts MRC batches).
+  EXPECT_EQ(metrics.CounterValue("minisim", "mrc_batches"), 0u);
+  EXPECT_GT(metrics.CounterValue("minisim", "ttl_batches"), 0u);
   std::vector<const obs::DecisionRecord*> optimized;
   for (const obs::DecisionRecord& rec : trace.records()) {
     if (rec.optimized) {

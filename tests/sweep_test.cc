@@ -332,11 +332,12 @@ TEST(SweepSchedulerTest, RejectsUnresolvableSpecs) {
 // banks — in different hash domains. Bit-identical aggregated curves prove
 // the index hash never leaks into results, which is why the hash-once
 // change did not require bumping kSweepVersionSalt.
-TEST(HashOncePipelineTest, AnalyzerCurvesIndependentOfHashDomain) {
-  const Trace t = SmallTrace("hashdomain", 23);
-  AnalyzerConfig base;
+//
+// Feeds `t` to two analyzers differing only in seed and calls `check` on
+// each pair of window reports.
+template <typename Check>
+int CompareAcrossHashDomains(const Trace& t, AnalyzerConfig base, Check check) {
   base.sampling_ratio = 1.0;
-  base.enable_ttl = true;
   base.num_minicaches = 8;
   base.max_capacity_bytes = 50ull * 1000 * 1000;
   AnalyzerConfig alt = base;
@@ -354,19 +355,40 @@ TEST(HashOncePipelineTest, AnalyzerCurvesIndependentOfHashDomain) {
       const AnalyzerReport ra = a.EndWindow(15 * kMinute);
       const AnalyzerReport rb = b.EndWindow(15 * kMinute);
       ++windows;
-      ASSERT_EQ(ra.aggregated_mrc.ys(), rb.aggregated_mrc.ys()) << "window " << windows;
-      ASSERT_EQ(ra.aggregated_bmc.ys(), rb.aggregated_bmc.ys()) << "window " << windows;
-      ASSERT_TRUE(ra.aggregated_ttl_mrc.has_value());
-      ASSERT_TRUE(rb.aggregated_ttl_mrc.has_value());
-      ASSERT_EQ(ra.aggregated_ttl_mrc->ys(), rb.aggregated_ttl_mrc->ys()) << "window " << windows;
-      ASSERT_EQ(ra.aggregated_ttl_bmc->ys(), rb.aggregated_ttl_bmc->ys()) << "window " << windows;
-      ASSERT_EQ(ra.aggregated_ttl_capacity->ys(), rb.aggregated_ttl_capacity->ys())
-          << "window " << windows;
-      ASSERT_EQ(ra.window_requests, rb.window_requests);
-      ASSERT_EQ(ra.expected_window_reads, rb.expected_window_reads);
-      ASSERT_EQ(ra.expected_window_writes, rb.expected_window_writes);
+      check(ra, rb, windows);
+      EXPECT_EQ(ra.window_requests, rb.window_requests);
+      EXPECT_EQ(ra.expected_window_reads, rb.expected_window_reads);
+      EXPECT_EQ(ra.expected_window_writes, rb.expected_window_writes);
     }
   }
+  return windows;
+}
+
+TEST(HashOncePipelineTest, AnalyzerCurvesIndependentOfHashDomain) {
+  // Capacity mode: the MRC/BMC bank's curves.
+  const int windows = CompareAcrossHashDomains(
+      SmallTrace("hashdomain", 23), AnalyzerConfig{},
+      [](const AnalyzerReport& ra, const AnalyzerReport& rb, int window) {
+        EXPECT_EQ(ra.aggregated_mrc.ys(), rb.aggregated_mrc.ys()) << "window " << window;
+        EXPECT_EQ(ra.aggregated_bmc.ys(), rb.aggregated_bmc.ys()) << "window " << window;
+      });
+  EXPECT_GE(windows, 2) << "trace too small to exercise multiple windows";
+}
+
+TEST(HashOncePipelineTest, TtlCurvesIndependentOfHashDomain) {
+  // TTL mode: the TTL bank's curves (a TTL-only analyzer runs no MRC bank).
+  AnalyzerConfig ttl;
+  ttl.enable_ttl = true;
+  const int windows = CompareAcrossHashDomains(
+      SmallTrace("hashdomain", 23), ttl,
+      [](const AnalyzerReport& ra, const AnalyzerReport& rb, int window) {
+        ASSERT_TRUE(ra.aggregated_ttl_mrc.has_value());
+        ASSERT_TRUE(rb.aggregated_ttl_mrc.has_value());
+        EXPECT_EQ(ra.aggregated_ttl_mrc->ys(), rb.aggregated_ttl_mrc->ys()) << "window " << window;
+        EXPECT_EQ(ra.aggregated_ttl_bmc->ys(), rb.aggregated_ttl_bmc->ys()) << "window " << window;
+        EXPECT_EQ(ra.aggregated_ttl_capacity->ys(), rb.aggregated_ttl_capacity->ys())
+            << "window " << window;
+      });
   EXPECT_GE(windows, 2) << "trace too small to exercise multiple windows";
 }
 
