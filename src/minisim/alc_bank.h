@@ -18,7 +18,7 @@
 // stream order, shared across grid points), so each level's replay over the
 // batch is pure private-state work and an optional ThreadPool can fan
 // levels across cores with bit-identical results. set_async_replay(true)
-// additionally overlaps that fan-out with the calling thread by submitting
+// additionally overlaps that fan-out with the calling thread by forking
 // it instead of joining, double-buffering the batch and its latency
 // columns; see mrc_bank.h for the in-flight/join discipline.
 
@@ -26,7 +26,6 @@
 #define MACARON_SRC_MINISIM_ALC_BANK_H_
 
 #include <cstdint>
-#include <future>
 #include <vector>
 
 #include "src/cache/inflight.h"
@@ -73,7 +72,7 @@ class AlcBank {
   // default) replays sequentially. Curves are identical either way.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
-  // With a pool set, submit batch fan-outs instead of joining them (see
+  // With a pool set, fork batch fan-outs instead of joining them (see
   // file comment). Off by default; curves are identical either way.
   void set_async_replay(bool async) { async_ = async; }
 
@@ -132,7 +131,6 @@ class AlcBank {
   };
 
   void FlushBatch();
-  void JoinPending();
   void ReplayGridPoint(const PendingBatch& b, size_t i);
 
   std::vector<uint64_t> grid_;
@@ -148,7 +146,7 @@ class AlcBank {
   // behaviour — lower variance, one RNG pass).
   PendingBatch filling_;
   PendingBatch replaying_;  // shadow buffer owned by the in-flight async replay
-  std::vector<std::future<void>> pending_;  // outstanding async fan-out chunks
+  ForkJoin replay_;  // the in-flight async fan-out, if any
   // Survivor scratch for ProcessColumns (position + salted hash + latency
   // draws per admitted row), reused across chunks.
   std::vector<uint32_t> idx_scratch_;

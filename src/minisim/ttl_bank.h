@@ -21,7 +21,6 @@
 #define MACARON_SRC_MINISIM_TTL_BANK_H_
 
 #include <cstdint>
-#include <future>
 #include <vector>
 
 #include "src/cache/replay_batch.h"
@@ -59,7 +58,7 @@ class TtlBank {
   // default) replays sequentially. Curves are identical either way.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
-  // With a pool set, submit batch fan-outs instead of joining them (see
+  // With a pool set, fork batch fan-outs instead of joining them (see
   // file comment). Off by default; curves are identical either way.
   void set_async_replay(bool async) { async_ = async; }
 
@@ -101,7 +100,6 @@ class TtlBank {
 
   static void Advance(Entry& e, SimTime now);
   void FlushBatch();
-  void JoinPending();
   void ReplayGridPoint(const ReplayBatch& batch, size_t i);
 
   std::vector<SimDuration> grid_;
@@ -111,7 +109,7 @@ class TtlBank {
   bool async_ = false;
   ReplayBatch batch_;      // sampled requests (+ admission hashes) being filled
   ReplayBatch replaying_;  // shadow buffer owned by the in-flight async replay
-  std::vector<std::future<void>> pending_;  // outstanding async fan-out chunks
+  ForkJoin replay_;  // the in-flight async fan-out, if any
   // Survivor scratch for ProcessColumns (position + salted hash per
   // admitted row), reused across chunks.
   std::vector<uint32_t> idx_scratch_;

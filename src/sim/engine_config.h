@@ -79,7 +79,7 @@ struct EngineConfig {
   bool stream_decode_ahead = true;
 
   // Asynchronous analyzer replay (see mrc_bank.h): mini-sim batch fan-outs
-  // are submitted to the shared engine pool and overlap shard serving and
+  // are forked on the shared engine pool and overlap shard serving and
   // chunk decode, joining at window boundaries before the controller reads
   // the report. An EXECUTION knob like shard_threads — outputs are
   // bit-identical either way (the async differential suite pins this) — so

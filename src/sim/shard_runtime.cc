@@ -1,7 +1,6 @@
 #include "src/sim/shard_runtime.h"
 
 #include <algorithm>
-#include <future>
 #include <string>
 #include <utility>
 
@@ -339,27 +338,23 @@ void ShardRuntime::ReplaySegment(const ReplayBatch& chunk, size_t begin, size_t 
     }
   }
   // Shards replay their columns on the pool while the controller observes
-  // the segment's columns on this thread. The analyzer shares no state with
-  // the serving shards and its report is only read at the next boundary —
+  // the segment's columns on this thread, which then joins in on whatever
+  // shards no worker has claimed yet. The analyzer shares no state with the
+  // serving shards and its report is only read at the next boundary —
   // after both sides finish — so the overlap cannot affect any output; with
   // async_analyzer its batch fan-outs additionally outlive this segment,
   // overlapping the next chunk's decode and serving until a window boundary
-  // joins them. With a workerless pool, Submit runs the shard inline,
-  // preserving the same results on a single thread.
-  std::vector<std::future<void>> pending;
-  for (Shard& sh : shards_) {
-    if (sh.batch.empty()) {
-      continue;
+  // joins them. With a workerless pool (or one shard) the fork serves every
+  // shard inline before observing, preserving the same results.
+  ForkJoin serving = pool_.Fork(shards_.size(), [this](size_t s) {
+    if (!shards_[s].batch.empty()) {
+      ReplayShardBatch(shards_[s]);
     }
-    Shard* p = &sh;
-    pending.push_back(pool_.Submit([this, p] { ReplayShardBatch(*p); }));
-  }
+  });
   if (controller_ != nullptr) {
     controller_->ObserveColumns(chunk, begin, end);
   }
-  for (std::future<void>& f : pending) {
-    f.get();
-  }
+  serving.Join();
   for (Shard& sh : shards_) {
     sh.batch.Clear();
   }
