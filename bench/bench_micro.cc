@@ -1,10 +1,11 @@
 // Microbenchmarks (google-benchmark): throughput of the building blocks the
 // controller leans on — LRU/TTL cache ops, Zipf sampling, spatial sampling,
-// the mini-cache bank, consistent-hash routing, OSC packing, and the
-// latency generator.
+// the mini-cache bank, consistent-hash routing, OSC packing, the latency
+// generator, and the thread pool's fork-join.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +24,7 @@
 #include "src/cloudsim/latency.h"
 #include "src/cluster/hash_ring.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/common/zipf.h"
 #include "src/controller/analyzer.h"
 #include "src/minisim/alc_bank.h"
@@ -520,6 +522,24 @@ void BM_ShardedReplayEvent(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedReplayEvent)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
+// One fork-join on a 2-worker pool over n = 4 indices (a window boundary's
+// per-shard fan-out at num_shards = 4). Arg = per-index busy work in µs: 0
+// measures the fan-out alone, 20 a boundary phase's typical share. CPU time
+// is the whole process's, so worker wake-ups and idle spins count too.
+void BM_ForkJoin(benchmark::State& state) {
+  ThreadPool pool(2);
+  const auto busy = std::chrono::microseconds(state.range(0));
+  auto body = [busy](size_t) {
+    const auto until = std::chrono::steady_clock::now() + busy;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+  for (auto _ : state) {
+    pool.ParallelFor(4, body);
+  }
+}
+BENCHMARK(BM_ForkJoin)->Arg(0)->Arg(20)->MeasureProcessCPUTime()->Unit(benchmark::kMicrosecond);
+
 // --- Out-of-core trace pipeline ---
 //
 // The BM_TraceStream* group measures the streaming delivery path on the
@@ -797,6 +817,9 @@ int main(int argc, char** argv) {
   // The cache-core probe path this binary was compiled with (src/cache/
   // simd.h): recorded numbers must say which feature set produced them.
   benchmark::AddCustomContext("macaron_simd", macaron::SimdFeatureString());
+  // Threaded benches only mean something next to the core count they ran on.
+  benchmark::AddCustomContext("nproc",
+                              std::to_string(macaron::ThreadPool::HardwareConcurrency()));
   macaron::bench::WarnIfUnoptimizedBuild("bench_micro");
   std::vector<char*> args(argv, argv + argc);
   bool has_out = false;
