@@ -49,18 +49,15 @@ WorkloadAnalyzer::WorkloadAnalyzer(const AnalyzerConfig& config, const LatencySa
   }
 }
 
-void WorkloadAnalyzer::SetExecution(ThreadPool* pool, bool async) {
+void WorkloadAnalyzer::SetExecution(ThreadPool* pool) {
   if (mrc_bank_ != nullptr) {
     mrc_bank_->set_thread_pool(pool);
-    mrc_bank_->set_async_replay(async);
   }
   if (alc_bank_ != nullptr) {
     alc_bank_->set_thread_pool(pool);
-    alc_bank_->set_async_replay(async);
   }
   if (ttl_bank_ != nullptr) {
     ttl_bank_->set_thread_pool(pool);
-    ttl_bank_->set_async_replay(async);
   }
 }
 

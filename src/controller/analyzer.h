@@ -71,12 +71,11 @@ struct AnalyzerConfig {
   bool enable_ttl = false;
   SimDuration max_ttl = 7 * kDay;
   uint64_t seed = 42;
-  // Mini-simulation fan-out: worker threads replaying mini-cache grid
-  // points at batch boundaries. <= 1 runs sequentially; any value produces
-  // bit-identical curves (grid points share no mutable state). The
-  // analyzer owns no threads itself — this knob sizes the shared engine
-  // pool the banks are wired to via SetExecution, so analyzer and serving
-  // shards draw from one budget instead of oversubscribing the machine.
+  // Unused: only range-checked by MacaronController. The analyzer owns no
+  // threads — the banks fork on whatever pool SetExecution wires in, and
+  // the engines size theirs from EngineConfig::analyzer_threads (see
+  // shard_runtime.cc). Kept only while the replay benchmark still sets it
+  // (ROADMAP item 2).
   int threads = 1;
   // Serverless runtime model: seconds = base + per_request * sampled reqs.
   double lambda_base_seconds = 0.5;
@@ -109,13 +108,12 @@ class WorkloadAnalyzer {
  public:
   WorkloadAnalyzer(const AnalyzerConfig& config, const LatencySampler* latency);
 
-  // Wires the shared execution context: the banks fan batch replays across
-  // `pool` (nullptr reverts to sequential), and with `async` they fork
-  // those fan-outs instead of joining, overlapping replay with whatever the
-  // ingest thread does next (see mrc_bank.h). EndWindow always joins before
-  // aggregating, so the report — and every output derived from it — is
-  // bit-identical for any pool size, sync or async.
-  void SetExecution(ThreadPool* pool, bool async);
+  // Wires the shared execution context: the banks fork batch replays on
+  // `pool` (nullptr reverts to inline replay), overlapping replay with
+  // whatever the ingest thread does next (see sampled_feed.h). EndWindow
+  // always joins before aggregating, so the report — and every output
+  // derived from it — is bit-identical with or without a pool.
+  void SetExecution(ThreadPool* pool);
 
   // Feeds one request (full stream; sampling happens inside the banks).
   void Process(const Request& r);

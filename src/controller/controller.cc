@@ -13,9 +13,8 @@ MacaronController::MacaronController(const ControllerConfig& config, const Price
     : config_(config), prices_(prices), analyzer_(config.analyzer, latency) {
   MACARON_CHECK(config.window > 0);
   MACARON_CHECK(config.observation >= 0);
-  // analyzer.threads sizes the shared engine pool the banks are wired to
-  // (SetExecution); a silly thread count here is almost certainly a
-  // mis-wired config rather than a real request.
+  // analyzer.threads sizes nothing (see AnalyzerConfig::threads), but a
+  // silly thread count here is almost certainly a mis-wired config.
   MACARON_CHECK(config.analyzer.threads >= 0 && config.analyzer.threads <= 1024);
   if (config_.enable_cluster) {
     MACARON_CHECK(config_.analyzer.enable_alc);
@@ -23,6 +22,14 @@ MacaronController::MacaronController(const ControllerConfig& config, const Price
   if (config_.mode == OptimizationMode::kTtl) {
     MACARON_CHECK(config_.analyzer.enable_ttl);
   }
+}
+
+void MacaronController::SetExecution(ThreadPool* pool, bool async) {
+  // Pooled banks always fork their batch replays; there is no synchronous
+  // mode left to select. The flag survives only because the replay
+  // benchmark passes it (ROADMAP item 2).
+  MACARON_CHECK(async);
+  analyzer_.SetExecution(pool);
 }
 
 void MacaronController::SetObservability(obs::DecisionTrace* trace,

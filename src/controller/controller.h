@@ -92,8 +92,8 @@ class MacaronController {
 
   // Wires the shared execution context through to the analyzer's banks (see
   // WorkloadAnalyzer::SetExecution). Decisions and reports are bit-identical
-  // for any pool, sync or async.
-  void SetExecution(ThreadPool* pool, bool async) { analyzer_.SetExecution(pool, async); }
+  // for any pool. `async` must be true (see controller.cc).
+  void SetExecution(ThreadPool* pool, bool async = true);
 
   // Whether optimization is active at `now` (past the observation period).
   bool PastObservation(SimTime now) const { return now >= config_.observation; }

@@ -51,8 +51,10 @@ struct EngineConfig {
   double sampling_ratio = 0.05;
   int num_minicaches = 64;
   // Worker threads for the analyzer's mini-simulation fan-out (the local
-  // analogue of the paper's serverless fan-out, §6.3). <= 1 runs the banks
-  // sequentially; any value yields bit-identical curves.
+  // analogue of the paper's serverless fan-out, §6.3): sizes the shared
+  // engine pool together with shard_threads (the larger wins), and the
+  // banks fork their batch replays on it whenever it has workers. Any value
+  // yields bit-identical curves.
   int analyzer_threads = 1;
   size_t max_cluster_nodes = 256;
 
@@ -77,16 +79,6 @@ struct EngineConfig {
   // stream is identical either way, so it is excluded from the sweep
   // fingerprint; disable to debug or to save the extra thread.
   bool stream_decode_ahead = true;
-
-  // Asynchronous analyzer replay (see mrc_bank.h): mini-sim batch fan-outs
-  // are forked on the shared engine pool and overlap shard serving and
-  // chunk decode, joining at window boundaries before the controller reads
-  // the report. An EXECUTION knob like shard_threads — outputs are
-  // bit-identical either way (the async differential suite pins this) — so
-  // it is excluded from the sweep fingerprint; disable to debug or to get
-  // strictly synchronous scheduling. Only takes effect when the shared pool
-  // has workers (shard_threads or analyzer_threads > 1).
-  bool async_analyzer = true;
 
   // Adversarial economics: repricing events applied to the data-path rates
   // (egress, storage capacity, GET/PUT) at the first window boundary at or

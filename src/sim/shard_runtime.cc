@@ -165,10 +165,10 @@ void ShardRuntime::Setup() {
         break;
     }
     controller_ = std::make_unique<MacaronController>(cc, prices_, &fitted_);
-    // The analyzer's mini-sim banks fan out on the shared engine pool
-    // (sized above to cover analyzer_threads); async overlaps their batch
-    // replays with serving. Either way the outputs are bit-identical.
-    controller_->SetExecution(&pool_, cfg_.async_analyzer);
+    // The analyzer's mini-sim banks fork their batch replays on the shared
+    // engine pool (sized above to cover analyzer_threads), overlapping them
+    // with serving. The outputs are bit-identical at any pool size.
+    controller_->SetExecution(&pool_);
   }
 
   // Observability wiring (no-op when both sinks are null — the default).
@@ -341,9 +341,9 @@ void ShardRuntime::ReplaySegment(const ReplayBatch& chunk, size_t begin, size_t 
   // the segment's columns on this thread, which then joins in on whatever
   // shards no worker has claimed yet. The analyzer shares no state with the
   // serving shards and its report is only read at the next boundary —
-  // after both sides finish — so the overlap cannot affect any output; with
-  // async_analyzer its batch fan-outs additionally outlive this segment,
-  // overlapping the next chunk's decode and serving until a window boundary
+  // after both sides finish — so the overlap cannot affect any output. Its
+  // batch fan-outs additionally outlive this segment, overlapping the next
+  // chunk's decode and serving until the next flush or a window boundary
   // joins them. With a workerless pool (or one shard) the fork serves every
   // shard inline before observing, preserving the same results.
   ForkJoin serving = pool_.Fork(shards_.size(), [this](size_t s) {

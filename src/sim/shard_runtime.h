@@ -234,7 +234,7 @@ class ShardRuntime {
   RunResult result_;
   std::vector<Shard> shards_;
   // Declared after pool_: the controller's bank destructors join any
-  // in-flight async fan-out, which needs the pool alive.
+  // in-flight batch replay, which needs the pool alive.
   std::unique_ptr<MacaronController> controller_;
 
   // Elastic-cluster-cache parameters (DRAM for ECPC, NVMe for flash-ECPC);

@@ -1,19 +1,21 @@
 // Asynchronous analyzer pipeline suite (DESIGN.md "Analyzer pipeline").
 //
-// The load-bearing guarantee: `async_analyzer` is execution-only. With the
-// analyzer's mini-sim batch fan-outs submitted to the shared engine pool
-// and overlapped with shard serving and chunk decode, every output artifact
-// — RunResult serialization, decision trace, metrics JSON — must be
-// byte-identical to the fully synchronous single-threaded run, for either
-// engine, at any shard_threads / analyzer_threads, with decode-ahead on or
-// off. These tests byte-compare all three artifacts across that cross
-// product on a Zipf trace streamed at an odd chunk size (so analyzer batch
-// flushes land mid-chunk and mid-window).
+// The load-bearing guarantee: the pool is execution-only. With the
+// analyzer's mini-sim batch replays forked on the shared engine pool and
+// overlapped with shard serving and chunk decode, every output artifact —
+// RunResult serialization, decision trace, metrics JSON — must be
+// byte-identical to the workerless run, where every replay runs inline,
+// for either engine, at any shard_threads / analyzer_threads, with
+// decode-ahead on or off. These tests byte-compare all three artifacts
+// across that cross product on a Zipf trace streamed at an odd chunk size
+// (so analyzer batch flushes land mid-chunk and mid-window).
 //
 // Under -DMACARON_SANITIZE=thread (`ctest -L tsan`) this is the primary
 // race surface for the async pipeline: controller observation on the
 // ingest thread, shard replay workers, the decode-ahead worker, and the
-// banks' in-flight batch fan-outs all run concurrently here.
+// banks' in-flight batch replays all run concurrently here. Under
+// -DMACARON_SANITIZE=address (`ctest -L asan`) it guards the feed's double
+// buffer: a forked replay reads one batch while ingest refills the other.
 
 #include <gtest/gtest.h>
 
@@ -74,10 +76,9 @@ void ExpectSame(const Artifacts& got, const Artifacts& want, const std::string& 
 }
 
 template <typename Engine>
-Artifacts RunVariant(EngineConfig cfg, const Trace& t, bool async, int shard_threads,
-                     int analyzer_threads, bool decode_ahead) {
+Artifacts RunVariant(EngineConfig cfg, const Trace& t, int shard_threads, int analyzer_threads,
+                     bool decode_ahead) {
   cfg.num_shards = 8;
-  cfg.async_analyzer = async;
   cfg.shard_threads = shard_threads;
   cfg.analyzer_threads = analyzer_threads;
   cfg.stream_decode_ahead = decode_ahead;
@@ -90,22 +91,20 @@ Artifacts RunVariant(EngineConfig cfg, const Trace& t, bool async, int shard_thr
   return {SerializeRunResult(r), DecisionTraceJsonl(decisions), metrics.Json()};
 }
 
-// The full {sync, async} x shard_threads x decode-ahead cross-check for one
-// engine and approach, anchored to the fully synchronous sequential run.
+// The analyzer_threads x shard_threads x decode-ahead cross-check for one
+// engine and approach, anchored to the workerless run (shard_threads and
+// analyzer_threads 1: every batch replay runs inline).
 template <typename Engine>
-void ExpectAsyncInvariant(const EngineConfig& cfg, const Trace& t, const char* label) {
-  const Artifacts want = RunVariant<Engine>(cfg, t, /*async=*/false, /*shard_threads=*/1,
+void ExpectPoolInvariant(const EngineConfig& cfg, const Trace& t, const char* label) {
+  const Artifacts want = RunVariant<Engine>(cfg, t, /*shard_threads=*/1,
                                             /*analyzer_threads=*/1, /*decode_ahead=*/false);
-  for (bool async : {false, true}) {
+  for (int analyzer_threads : {1, 4}) {
     for (int shard_threads : {1, 8}) {
       for (bool decode_ahead : {false, true}) {
-        // analyzer_threads=4 gives the shared pool workers even when
-        // shard_threads=1, so async genuinely overlaps in every variant.
         const Artifacts got =
-            RunVariant<Engine>(cfg, t, async, shard_threads, /*analyzer_threads=*/4,
-                               decode_ahead);
+            RunVariant<Engine>(cfg, t, shard_threads, analyzer_threads, decode_ahead);
         ExpectSame(got, want,
-                   std::string(label) + (async ? " async" : " sync") +
+                   std::string(label) + " analyzer_threads=" + std::to_string(analyzer_threads) +
                        " shard_threads=" + std::to_string(shard_threads) +
                        " decode_ahead=" + (decode_ahead ? "on" : "off"));
       }
@@ -113,29 +112,18 @@ void ExpectAsyncInvariant(const EngineConfig& cfg, const Trace& t, const char* l
   }
 }
 
-TEST(AsyncAnalyzerReplayEngineTest, AsyncNeverChangesAnyOutputBit) {
+TEST(AsyncAnalyzerReplayEngineTest, PoolNeverChangesAnyOutputBit) {
   const Trace t = ZipfTrace();
   for (Approach a : {Approach::kMacaron, Approach::kMacaronTtl}) {
-    ExpectAsyncInvariant<ReplayEngine>(Config(a), t, ApproachName(a));
+    ExpectPoolInvariant<ReplayEngine>(Config(a), t, ApproachName(a));
   }
 }
 
-TEST(AsyncAnalyzerEventEngineTest, AsyncNeverChangesAnyOutputBit) {
+TEST(AsyncAnalyzerEventEngineTest, PoolNeverChangesAnyOutputBit) {
   const Trace t = ZipfTrace();
   for (Approach a : {Approach::kMacaron, Approach::kMacaronTtl}) {
-    ExpectAsyncInvariant<EventEngine>(Config(a), t, ApproachName(a));
+    ExpectPoolInvariant<EventEngine>(Config(a), t, ApproachName(a));
   }
-}
-
-TEST(AsyncAnalyzerTest, WorkerlessPoolDegeneratesToSync) {
-  // shard_threads=1, analyzer_threads=1 leaves the shared pool workerless;
-  // async_analyzer=true must degrade to inline synchronous replay (and
-  // still match) rather than deadlock or drift.
-  const Trace t = ZipfTrace();
-  const EngineConfig cfg = Config(Approach::kMacaron);
-  const Artifacts want = RunVariant<ReplayEngine>(cfg, t, false, 1, 1, false);
-  const Artifacts got = RunVariant<ReplayEngine>(cfg, t, true, 1, 1, false);
-  ExpectSame(got, want, "workerless async");
 }
 
 }  // namespace

@@ -30,6 +30,7 @@
 #include "src/cloudsim/latency.h"
 #include "src/common/hash.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/common/zipf.h"
 #include "src/minisim/alc_bank.h"
 #include "src/minisim/mrc_bank.h"
@@ -652,7 +653,9 @@ TEST(SlabReuseTest, AlcBankWindowsReuseSlabs) {
 // chunk size (so segment boundaries never align with the 4096-row batch
 // capacity) must produce bit-identical window curves — including AlcBank,
 // whose per-admitted-GET latency draws must come out in the exact stream
-// order of the per-row path.
+// order of the per-row path. A third bank takes the same column segments
+// with a 4-worker pool, so its batch replays are forked and overlap the
+// next segment's ingest; it must match too.
 
 // Mixed GET/PUT/DELETE stream with varied sizes (deletes and puts exercise
 // the op-column folds; varied sizes exercise the byte sums).
@@ -699,39 +702,51 @@ TEST(ColumnarObserveDifferentialTest, MrcBankColumnsMatchScalar) {
   for (const EvictionPolicyKind kind :
        {EvictionPolicyKind::kLru, EvictionPolicyKind::kS3Fifo}) {
     SCOPED_TRACE(EvictionPolicyName(kind));
+    ThreadPool pool(4);
     MrcBank scalar(grid, 0.5, /*salt=*/29, kind);
     MrcBank columnar(grid, 0.5, /*salt=*/29, kind);
+    MrcBank pooled(grid, 0.5, /*salt=*/29, kind);
+    pooled.set_thread_pool(&pool);
     for (int w = 0; w < 3; ++w) {
       const auto reqs = MixedWindow(3000, 20'000, 61 + w);
       for (const Request& r : reqs) {
         scalar.Process(r);
       }
       FeedColumns(columnar, reqs, kOddChunk);
+      FeedColumns(pooled, reqs, kOddChunk);
       const WindowCurves cs = scalar.EndWindow();
-      const WindowCurves cc = columnar.EndWindow();
-      EXPECT_EQ(cs.mrc.ys(), cc.mrc.ys()) << "window " << w;
-      EXPECT_EQ(cs.bmc.ys(), cc.bmc.ys()) << "window " << w;
-      EXPECT_EQ(cs.sampled_gets, cc.sampled_gets) << "window " << w;
-      EXPECT_EQ(cs.window_requests, cc.window_requests) << "window " << w;
+      for (MrcBank* bank : {&columnar, &pooled}) {
+        const WindowCurves cc = bank->EndWindow();
+        EXPECT_EQ(cs.mrc.ys(), cc.mrc.ys()) << "window " << w;
+        EXPECT_EQ(cs.bmc.ys(), cc.bmc.ys()) << "window " << w;
+        EXPECT_EQ(cs.sampled_gets, cc.sampled_gets) << "window " << w;
+        EXPECT_EQ(cs.window_requests, cc.window_requests) << "window " << w;
+      }
     }
   }
 }
 
 TEST(ColumnarObserveDifferentialTest, TtlBankColumnsMatchScalar) {
+  ThreadPool pool(4);
   TtlBank scalar({50'000, 200'000, 800'000}, 0.5, /*salt=*/43);
   TtlBank columnar({50'000, 200'000, 800'000}, 0.5, /*salt=*/43);
+  TtlBank pooled({50'000, 200'000, 800'000}, 0.5, /*salt=*/43);
+  pooled.set_thread_pool(&pool);
   for (int w = 0; w < 3; ++w) {
     const auto reqs = MixedWindow(2000, 15'000, 67 + w);
     for (const Request& r : reqs) {
       scalar.Process(r);
     }
     FeedColumns(columnar, reqs, kOddChunk);
+    FeedColumns(pooled, reqs, kOddChunk);
     const TtlWindowCurves cs = scalar.EndWindow(300'000);
-    const TtlWindowCurves cc = columnar.EndWindow(300'000);
-    EXPECT_EQ(cs.mrc.ys(), cc.mrc.ys()) << "window " << w;
-    EXPECT_EQ(cs.bmc.ys(), cc.bmc.ys()) << "window " << w;
-    EXPECT_EQ(cs.capacity.ys(), cc.capacity.ys()) << "window " << w;
-    EXPECT_EQ(cs.sampled_gets, cc.sampled_gets) << "window " << w;
+    for (TtlBank* bank : {&columnar, &pooled}) {
+      const TtlWindowCurves cc = bank->EndWindow(300'000);
+      EXPECT_EQ(cs.mrc.ys(), cc.mrc.ys()) << "window " << w;
+      EXPECT_EQ(cs.bmc.ys(), cc.bmc.ys()) << "window " << w;
+      EXPECT_EQ(cs.capacity.ys(), cc.capacity.ys()) << "window " << w;
+      EXPECT_EQ(cs.sampled_gets, cc.sampled_gets) << "window " << w;
+    }
   }
 }
 
@@ -739,29 +754,36 @@ TEST(ColumnarObserveDifferentialTest, AlcBankColumnsMatchScalar) {
   GroundTruthLatency truth(LatencyScenario::kCrossCloudUs);
   FittedLatencyGenerator gen(truth, 200, 3);
   const auto grid = UniformSizeGrid(100'000, 1'000'000, 6);
+  ThreadPool pool(4);
   AlcBank scalar(grid, /*osc=*/2'000'000, 0.5, /*salt=*/53, &gen, 91);
   AlcBank columnar(grid, /*osc=*/2'000'000, 0.5, /*salt=*/53, &gen, 91);
+  AlcBank pooled(grid, /*osc=*/2'000'000, 0.5, /*salt=*/53, &gen, 91);
+  pooled.set_thread_pool(&pool);
   for (int w = 0; w < 3; ++w) {
     const auto reqs = MixedWindow(3000, 20'000, 71 + w);
     for (const Request& r : reqs) {
       scalar.Process(r);
     }
     FeedColumns(columnar, reqs, kOddChunk);
+    FeedColumns(pooled, reqs, kOddChunk);
     if (w == 1) {
-      // Mid-stream reconfiguration flushes both sides at the same point.
-      scalar.SetOscCapacity(1'000'000);
-      columnar.SetOscCapacity(1'000'000);
+      // Mid-stream reconfiguration flushes every bank at the same point.
+      for (AlcBank* bank : {&scalar, &columnar, &pooled}) {
+        bank->SetOscCapacity(1'000'000);
+      }
     }
     const AlcWindow cs = scalar.EndWindow();
-    const AlcWindow cc = columnar.EndWindow();
-    EXPECT_EQ(cs.sampled_gets, cc.sampled_gets) << "window " << w;
-    EXPECT_EQ(cs.alc.ys(), cc.alc.ys()) << "window " << w;  // exact: same RNG order
-    ASSERT_EQ(cs.level_counts.size(), cc.level_counts.size());
-    for (size_t i = 0; i < cs.level_counts.size(); ++i) {
-      EXPECT_EQ(cs.level_counts[i].cluster_hits, cc.level_counts[i].cluster_hits);
-      EXPECT_EQ(cs.level_counts[i].osc_hits, cc.level_counts[i].osc_hits);
-      EXPECT_EQ(cs.level_counts[i].remote_misses, cc.level_counts[i].remote_misses);
-      EXPECT_EQ(cs.level_counts[i].delayed_hits, cc.level_counts[i].delayed_hits);
+    for (AlcBank* bank : {&columnar, &pooled}) {
+      const AlcWindow cc = bank->EndWindow();
+      EXPECT_EQ(cs.sampled_gets, cc.sampled_gets) << "window " << w;
+      EXPECT_EQ(cs.alc.ys(), cc.alc.ys()) << "window " << w;  // exact: same RNG order
+      ASSERT_EQ(cs.level_counts.size(), cc.level_counts.size());
+      for (size_t i = 0; i < cs.level_counts.size(); ++i) {
+        EXPECT_EQ(cs.level_counts[i].cluster_hits, cc.level_counts[i].cluster_hits);
+        EXPECT_EQ(cs.level_counts[i].osc_hits, cc.level_counts[i].osc_hits);
+        EXPECT_EQ(cs.level_counts[i].remote_misses, cc.level_counts[i].remote_misses);
+        EXPECT_EQ(cs.level_counts[i].delayed_hits, cc.level_counts[i].delayed_hits);
+      }
     }
   }
 }

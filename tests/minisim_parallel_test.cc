@@ -16,6 +16,7 @@
 #include "src/minisim/mrc_bank.h"
 #include "src/minisim/size_grid.h"
 #include "src/minisim/ttl_bank.h"
+#include "src/obs/metrics.h"
 #include "src/trace/synthetic.h"
 
 namespace macaron {
@@ -154,36 +155,56 @@ TEST(ParallelDeterminismTest, AlcBankBitIdenticalToSequential) {
   }
 }
 
-TEST(ParallelDeterminismTest, AsyncBankReplayBitIdenticalToSequential) {
-  // set_async_replay(true): batch fan-outs are submitted, not joined, so
-  // grid replay overlaps whatever this thread does next (here: filling the
-  // next batch). EndWindow joins; curves must not drift by a bit.
-  const Trace t = MixedStream(20000, 0.8, 60000, 1, 26);
-  const auto grid = UniformSizeGrid(100'000, 10'000'000, 16);
-  MrcBank seq(grid, 0.5, 17);
-  MrcBank par(grid, 0.5, 17);
-  ThreadPool pool(4);
+// Feeds `t` to a sequential and a 4-worker pooled bank until the pooled
+// bank has just forked its third batch replay, then compares
+// allocated_nodes(): the pooled bank must join the in-flight replay before
+// reading the slab sizes it is growing.
+template <typename Bank>
+void ExpectMidWindowAllocatedNodesMatch(Bank& seq, Bank& par, ThreadPool& pool, const Trace& t) {
   par.set_thread_pool(&pool);
-  par.set_async_replay(true);
-  for (int w = 0; w < 2; ++w) {
-    for (size_t i = 0; i < 30000; ++i) {
-      const Request& r = t.requests[w * 30000 + i];
-      seq.Process(r);
-      par.Process(r);
-    }
-    const WindowCurves ws = seq.EndWindow();
-    const WindowCurves wp = par.EndWindow();
-    EXPECT_EQ(ws.sampled_gets, wp.sampled_gets);
-    EXPECT_EQ(ws.window_requests, wp.window_requests);
-    ExpectCurvesIdentical(ws.mrc, wp.mrc);
-    ExpectCurvesIdentical(ws.bmc, wp.bmc);
+  obs::Counter batches;
+  obs::Counter batch_requests;
+  par.set_metrics(&batches, &batch_requests);
+  size_t i = 0;
+  while (batches.value() < 3) {
+    ASSERT_LT(i, t.requests.size());
+    seq.Process(t.requests[i]);
+    par.Process(t.requests[i]);
+    ++i;
+  }
+  EXPECT_EQ(seq.allocated_nodes(), par.allocated_nodes());
+}
+
+TEST(ParallelDeterminismTest, MidWindowAllocatedNodesJoinInFlightReplay) {
+  const Trace t = MixedStream(20000, 0.8, 40000, 30 * kSecond, 26);
+  ThreadPool pool(4);  // outlives the banks, whose destructors join
+  {
+    const auto grid = UniformSizeGrid(100'000, 10'000'000, 16);
+    MrcBank seq(grid, 0.5, 17);
+    MrcBank par(grid, 0.5, 17);
+    ExpectMidWindowAllocatedNodesMatch(seq, par, pool, t);
+  }
+  {
+    const std::vector<SimDuration> grid{kHour, 6 * kHour, kDay};
+    TtlBank seq(grid, 0.5, 9);
+    TtlBank par(grid, 0.5, 9);
+    ExpectMidWindowAllocatedNodesMatch(seq, par, pool, t);
+  }
+  {
+    GroundTruthLatency truth(LatencyScenario::kCrossCloudUs);
+    FittedLatencyGenerator gen(truth, 200, 1);
+    const auto grid = UniformSizeGrid(20'000, 2'000'000, 10);
+    AlcBank seq(grid, 2'000'000, 0.5, 31, &gen, 77);
+    AlcBank par(grid, 2'000'000, 0.5, 31, &gen, 77);
+    ExpectMidWindowAllocatedNodesMatch(seq, par, pool, t);
   }
 }
 
 TEST(ParallelDeterminismTest, AnalyzerSharedPoolBitIdentical) {
   // The analyzer owns no threads: SetExecution wires an engine-owned pool
-  // through to the banks (sync joins at each flush, async joins at
-  // EndWindow). Both must reproduce the sequential analyzer bit for bit.
+  // through to the banks, which fork each batch replay and join it at the
+  // next flush or EndWindow. That must reproduce the sequential analyzer
+  // bit for bit.
   const Trace t = MixedStream(10000, 0.8, 40000, kSecond, 25);
   GroundTruthLatency truth(LatencyScenario::kCrossCloudUs);
   FittedLatencyGenerator gen(truth, 200, 2);
@@ -198,7 +219,7 @@ TEST(ParallelDeterminismTest, AnalyzerSharedPoolBitIdentical) {
   WorkloadAnalyzer sequential(cfg, &gen);
   WorkloadAnalyzer threaded(cfg, &gen);
   ThreadPool pool(4);
-  threaded.SetExecution(&pool, /*async=*/true);
+  threaded.SetExecution(&pool);
   for (int w = 0; w < 2; ++w) {
     for (size_t i = 0; i < 20000; ++i) {
       const Request& r = t.requests[w * 20000 + i];
