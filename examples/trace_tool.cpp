@@ -1,5 +1,5 @@
-// Trace tool: generates the 19-workload evaluation suite to disk (CSV or
-// binary) and prints Table 2-style statistics — the equivalent of the
+// Trace tool: generates the 19-workload evaluation suite to disk (CSV, or
+// the MCTC chunked columnar format for `bin`) and prints Table 2-style statistics — the equivalent of the
 // paper's released trace artifacts, reproducible from seeds.
 //
 // Usage: trace_tool [output-dir] [csv|bin]    (default: ./traces csv)
@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <string>
 
+#include "src/trace/columnar_io.h"
 #include "src/trace/splitter.h"
 #include "src/trace/synthetic.h"
 #include "src/trace/trace_io.h"
@@ -28,8 +29,8 @@ int main(int argc, char** argv) {
   for (const WorkloadProfile& p : AllProfiles()) {
     const Trace trace = SplitObjects(GenerateTrace(p), p.max_object_bytes);
     const std::string path =
-        dir + "/" + p.name + (format == "bin" ? ".mctr" : ".csv");
-    const bool ok = format == "bin" ? WriteTraceBinary(trace, path)
+        dir + "/" + p.name + (format == "bin" ? ".mctc" : ".csv");
+    const bool ok = format == "bin" ? WriteTraceColumnar(trace, path)
                                     : WriteTraceCsv(trace, path);
     if (!ok) {
       std::fprintf(stderr, "failed to write %s\n", path.c_str());
@@ -42,9 +43,9 @@ int main(int argc, char** argv) {
   std::printf("\nRound-trip check: ");
   Trace back;
   const std::string probe =
-      dir + "/" + AllProfiles().front().name + (format == "bin" ? ".mctr" : ".csv");
+      dir + "/" + AllProfiles().front().name + (format == "bin" ? ".mctc" : ".csv");
   const bool ok =
-      format == "bin" ? ReadTraceBinary(probe, &back) : ReadTraceCsv(probe, &back);
+      format == "bin" ? ReadTraceColumnar(probe, &back) : ReadTraceCsv(probe, &back);
   std::printf("%s (%zu records)\n", ok ? "OK" : "FAILED", back.size());
   return ok ? 0 : 1;
 }

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/common/rng.h"
 #include "src/obs/decision_trace.h"
+#include "src/oracle/keep_schedule.h"
 
 namespace macaron {
 
@@ -15,52 +14,20 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Dollar tolerance for the crossover test: guards against last-ulp summation
-// differences between the meter total and the remote-only accumulator when
-// the optimum never caches (the two are then mathematically equal).
-constexpr double kCrossoverEpsUsd = 1e-9;
-
 }  // namespace
 
 ExactOracleResult RunExactOracle(const Trace& trace, const PriceBook& prices,
                                  const ExactOracleOptions& options) {
-  ExactOracleResult result;
   const size_t n = trace.size();
   if (n == 0) {
-    return result;
+    return ExactOracleResult{};
   }
   MACARON_CHECK(options.window > 0);
 
   const PriceSchedule sched(prices, AlignShocksToWindows(options.shocks, options.window));
+  const oracle_internal::ObjectChains chains = oracle_internal::BuildObjectChains(trace);
 
-  // --- Pass 1: per-object event chains, CSR layout in first-appearance
-  // order (deterministic — never iterates an unordered_map).
-  std::unordered_map<ObjectId, uint32_t> index;
-  index.reserve(n);
-  std::vector<uint32_t> obj_of(n);
-  for (size_t i = 0; i < n; ++i) {
-    const auto [it, inserted] =
-        index.try_emplace(trace.requests[i].id, static_cast<uint32_t>(index.size()));
-    obj_of[i] = it->second;
-  }
-  const size_t num_objects = index.size();
-  std::vector<uint32_t> counts(num_objects, 0);
-  for (size_t i = 0; i < n; ++i) {
-    ++counts[obj_of[i]];
-  }
-  std::vector<uint32_t> offsets(num_objects + 1, 0);
-  for (size_t o = 0; o < num_objects; ++o) {
-    offsets[o + 1] = offsets[o] + counts[o];
-  }
-  std::vector<uint32_t> chain(n);  // event indices, grouped by object, trace order
-  {
-    std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (size_t i = 0; i < n; ++i) {
-      chain[cursor[obj_of[i]]++] = static_cast<uint32_t>(i);
-    }
-  }
-
-  // --- Pass 2: per-object two-state DP.
+  // Per-object two-state DP.
   //
   // State after event j: S = a copy is resident through the following gap,
   // N = it is not. A[j] / B[j] are the cheapest costs of serving the chain
@@ -69,17 +36,16 @@ ExactOracleResult RunExactOracle(const Trace& trace, const PriceBook& prices,
   // record the arg-min incoming state for traceback; ties prefer the stored
   // (hit) path so the schedule is deterministic.
   std::vector<uint8_t> choice_s(n), choice_n(n);
-  std::vector<uint8_t> hit(n, 0), keep(n, 0), admit(n, 0);
+  std::vector<uint8_t> keep(n, 0);
   double dp_total = 0.0;
-  std::vector<uint8_t> object_cached(num_objects, 0);
 
-  for (size_t o = 0; o < num_objects; ++o) {
-    const uint32_t begin = offsets[o];
-    const uint32_t end = offsets[o + 1];
+  for (size_t o = 0; o < chains.num_objects(); ++o) {
+    const uint32_t begin = chains.offsets[o];
+    const uint32_t end = chains.offsets[o + 1];
     double a_prev = kInf;  // outgoing stored
     double b_prev = kInf;  // outgoing not stored
     for (uint32_t k = begin; k < end; ++k) {
-      const uint32_t j = chain[k];
+      const uint32_t j = chains.events[k];
       const Request& r = trace.requests[j];
       const PriceBook& book = sched.At(r.time);
       double in_s;  // arrived with the gap before j stored
@@ -88,7 +54,7 @@ ExactOracleResult RunExactOracle(const Trace& trace, const PriceBook& prices,
         in_s = kInf;  // nothing to store before the first event
         in_n = 0.0;
       } else {
-        const Request& prev = trace.requests[chain[k - 1]];
+        const Request& prev = trace.requests[chains.events[k - 1]];
         in_s = a_prev + sched.StorageCostOver(prev.size, prev.time, r.time);
         in_n = b_prev;
       }
@@ -133,105 +99,15 @@ ExactOracleResult RunExactOracle(const Trace& trace, const PriceBook& prices,
     // Traceback from state N at the last event.
     uint8_t out_stored = 0;
     for (uint32_t k = end; k-- > begin;) {
-      const uint32_t j = chain[k];
-      const Request& r = trace.requests[j];
-      const uint8_t in_stored = out_stored ? choice_s[j] : choice_n[j];
+      const uint32_t j = chains.events[k];
       keep[j] = out_stored;
-      if (r.op == Op::kGet) {
-        hit[j] = in_stored;
-        admit[j] = (!in_stored && out_stored) ? 1 : 0;
-      } else if (r.op == Op::kPut) {
-        admit[j] = out_stored;
-      }
-      if (admit[j]) {
-        object_cached[o] = 1;
-      }
-      out_stored = in_stored;
+      out_stored = out_stored ? choice_s[j] : choice_n[j];
     }
   }
 
-  // --- Pass 3: global forward replay in trace order. Produces the
-  // authoritative CostMeter, counters, latency samples, and the cumulative
-  // cost timeline at window boundaries (boundary cost excludes events at
-  // exactly the boundary time, matching the engines' WindowBoundary order).
-  Rng rng(options.seed);
-  std::vector<uint64_t> contrib(num_objects, 0);
-  uint64_t stored_bytes = 0;
-  double byte_time = 0.0;
-  double remote_only = 0.0;
-  SimTime cursor = trace.start_time();
-  SimTime next_boundary = options.window;
-  while (next_boundary <= cursor) {
-    result.window_cost_timeline.emplace_back(next_boundary, 0.0);
-    next_boundary += options.window;
-  }
-
-  const auto accrue_to = [&](SimTime to) {
-    if (to > cursor) {
-      if (stored_bytes > 0) {
-        result.costs.Add(CostCategory::kCapacity,
-                         sched.StorageCostOver(stored_bytes, cursor, to));
-        byte_time += static_cast<double>(stored_bytes) * static_cast<double>(to - cursor);
-      }
-      cursor = to;
-    }
-  };
-
-  for (size_t i = 0; i < n; ++i) {
-    const Request& r = trace.requests[i];
-    while (next_boundary <= r.time) {
-      accrue_to(next_boundary);
-      result.window_cost_timeline.emplace_back(next_boundary, result.costs.Total());
-      next_boundary += options.window;
-    }
-    accrue_to(r.time);
-    const PriceBook& book = sched.At(r.time);
-    switch (r.op) {
-      case Op::kGet: {
-        result.costs.Add(CostCategory::kOperation, book.GetCost(1));
-        if (hit[i]) {
-          ++result.osc_hits;
-          if (options.latency != nullptr) {
-            result.latency_ms.Add(options.latency->SampleMs(DataSource::kOsc, r.size, rng));
-          }
-        } else {
-          ++result.remote_fetches;
-          result.egress_bytes += r.size;
-          result.costs.Add(CostCategory::kEgress, book.EgressCost(r.size));
-          if (options.latency != nullptr) {
-            result.latency_ms.Add(
-                options.latency->SampleMs(DataSource::kRemoteLake, r.size, rng));
-          }
-        }
-        remote_only += book.EgressCost(r.size) + book.GetCost(1);
-        break;
-      }
-      case Op::kPut:
-      case Op::kDelete:
-        break;
-    }
-    if (admit[i]) {
-      ++result.admits;
-      result.costs.Add(CostCategory::kOperation, book.PutCost(1));
-    }
-    const uint64_t now_contrib = keep[i] ? r.size : 0;
-    const uint32_t o = obj_of[i];
-    stored_bytes += now_contrib;
-    stored_bytes -= contrib[o];
-    contrib[o] = now_contrib;
-  }
-  MACARON_CHECK(stored_bytes == 0);  // the optimum never stores past the last event
-  result.window_cost_timeline.emplace_back(trace.end_time(), result.costs.Total());
-
+  ExactOracleResult result =
+      oracle_internal::BillKeepSchedule(trace, chains, keep, sched, options);
   result.dp_total_usd = dp_total;
-  result.remote_only_usd = remote_only;
-  result.caching_pays = remote_only - result.costs.Total() > kCrossoverEpsUsd;
-  result.objects_total = num_objects;
-  for (size_t o = 0; o < num_objects; ++o) {
-    result.objects_cached += object_cached[o];
-  }
-  const SimDuration span = trace.duration();
-  result.mean_stored_bytes = span <= 0 ? 0.0 : byte_time / static_cast<double>(span);
   return result;
 }
 

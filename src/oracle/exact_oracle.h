@@ -13,6 +13,8 @@
 // PriceSchedule), and GET/PUT operation costs, and the per-object optima
 // sum to the global optimum. A brute-force enumerator over all per-gap
 // keep choices (tests/oracle_test.cc) pins the DP exact on small traces.
+// The DP's traceback is a per-event keep schedule, billed by the same
+// forward replay that bills Oracular's (keep_schedule.h).
 //
 // The result carries the "never cache" crossover: the cost of serving
 // every GET remotely. Tenants whose exact optimum equals that bound should
@@ -60,7 +62,8 @@ struct ExactOracleResult {
   // PUTs/misses the optimum chose to admit into the cache.
   uint64_t admits = 0;
   double mean_stored_bytes = 0.0;
-  // The DP objective value; equals costs.Total() up to summation order.
+  // DP-only: the exact oracle's objective value, equal to costs.Total() up
+  // to summation order. Oracular, which shares this result type, leaves it 0.
   double dp_total_usd = 0.0;
   // Crossover: what serving every GET remotely would cost (egress + GET
   // ops under the same schedule). caching_pays iff the optimum is strictly

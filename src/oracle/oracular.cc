@@ -1,150 +1,56 @@
 #include "src/oracle/oracular.h"
 
-#include <algorithm>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
-#include "src/common/check.h"
-#include "src/common/rng.h"
+#include "src/oracle/keep_schedule.h"
 
 namespace macaron {
 
-namespace {
-
-constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
-
-}  // namespace
-
 OracularResult RunOracular(const Trace& trace, const PriceBook& prices,
                            const LatencySampler* latency, uint64_t seed) {
-  OracularResult result;
-  const size_t n = trace.size();
-  if (n == 0) {
-    return result;
+  if (trace.size() == 0) {
+    return OracularResult{};
   }
-
-  // Backward pass: for each request, the time of the next GET and the next
-  // DELETE of the same object (kNever if none).
-  std::vector<SimTime> next_get(n, kNever);
-  std::vector<SimTime> next_del(n, kNever);
-  {
-    std::unordered_map<ObjectId, SimTime> last_get;
-    std::unordered_map<ObjectId, SimTime> last_del;
-    for (size_t i = n; i-- > 0;) {
-      const Request& r = trace.requests[i];
-      const auto git = last_get.find(r.id);
-      next_get[i] = git == last_get.end() ? kNever : git->second;
-      const auto dit = last_del.find(r.id);
-      next_del[i] = dit == last_del.end() ? kNever : dit->second;
-      switch (r.op) {
-        case Op::kGet:
-          last_get[r.id] = r.time;
-          break;
-        case Op::kPut:
-          break;
-        case Op::kDelete:
-          last_del[r.id] = r.time;
-          last_get.erase(r.id);  // accesses after a delete see a fresh object
-          break;
-      }
-    }
-  }
-
   // The break-even comparison is done in double: the exact horizon is
   // fractional milliseconds, and truncating it to an integer SimDuration
   // flipped keep/drop decisions for gaps landing exactly on the boundary.
   const double break_even_ms = prices.StorageEgressBreakEvenMs();
-  Rng rng(seed);
-  // stored_until[id] >= t means the object is resident at time t.
-  std::unordered_map<ObjectId, SimTime> stored_until;
-  double byte_time = 0.0;  // integral of stored bytes (approximated per keep)
+  const oracle_internal::ObjectChains chains = oracle_internal::BuildObjectChains(trace);
 
-  // Extends `id`'s residency to `until`, billing only the portion of
-  // [now, until) that was not already billed by an earlier keep decision.
-  // Before this guard a GET keeping until its next GET and an intervening
-  // PUT that also kept produced overlapping residency intervals, and the
-  // same object-bytes were charged to kCapacity (and byte_time) twice.
-  const auto keep_until = [&](ObjectId id, SimTime now, SimTime next, uint64_t size) {
-    const auto [it, inserted] = stored_until.try_emplace(id, next);
-    SimTime billed_from = now;
-    if (!inserted) {
-      // Residency through it->second is already paid for; bill the
-      // remainder only. (A stale entry never extends past `next`: both were
-      // derived from the same next-GET time in the backward pass.)
-      billed_from = std::max(now, it->second);
-      it->second = std::max(it->second, next);
-    }
-    if (next > billed_from) {
-      const SimDuration keep = next - billed_from;
-      result.costs.Add(CostCategory::kCapacity, prices.StorageCost(size, keep));
-      byte_time += static_cast<double>(size) * static_cast<double>(keep);
-    }
-  };
-
-  for (size_t i = 0; i < n; ++i) {
-    const Request& r = trace.requests[i];
-    // Deletion strictly before the next GET means the copy would die unread:
-    // never keep. The tie next_del == next_get is treated explicitly: a tie
-    // can only arise when the GET precedes the DELETE in trace order (the
-    // backward pass erases last_get at a DELETE, so a DELETE processed after
-    // the GET going backwards hides it), in which case serving that GET from
-    // the kept copy is correct — so ties resolve to the GET.
-    SimTime next = kNever;
-    if (next_get[i] != kNever) {
-      if (next_del[i] < next_get[i]) {
-        next = kNever;  // deletion first -> the copy would never be re-read
-      } else {
-        next = next_get[i];  // includes the tie: GET precedes DELETE in trace order
+  // Walking each chain backwards, `next_get` is the time of the next GET
+  // when that GET comes before any DELETE (a copy kept past a DELETE would
+  // die unread). PUTs do not stop the walk: a copy kept up to a PUT is
+  // billed at its own size until the PUT, and the PUT decides for itself.
+  constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+  std::vector<uint8_t> keep(trace.size(), 0);
+  for (size_t o = 0; o < chains.num_objects(); ++o) {
+    SimTime next_get = kNever;
+    for (uint32_t k = chains.offsets[o + 1]; k-- > chains.offsets[o];) {
+      const uint32_t j = chains.events[k];
+      const Request& r = trace.requests[j];
+      keep[j] = r.op != Op::kDelete && next_get != kNever &&
+                static_cast<double>(next_get - r.time) < break_even_ms;
+      if (r.op == Op::kGet) {
+        next_get = r.time;
+      } else if (r.op == Op::kDelete) {
+        next_get = kNever;
       }
-    }
-    const bool keep =
-        next != kNever && static_cast<double>(next - r.time) < break_even_ms;
-    switch (r.op) {
-      case Op::kGet: {
-        const auto it = stored_until.find(r.id);
-        const bool hit = it != stored_until.end() && it->second >= r.time;
-        if (hit) {
-          ++result.osc_hits;
-          if (latency != nullptr) {
-            result.latency_ms.Add(latency->SampleMs(DataSource::kOsc, r.size, rng));
-          }
-        } else {
-          ++result.remote_fetches;
-          result.egress_bytes += r.size;
-          result.costs.Add(CostCategory::kEgress, prices.EgressCost(r.size));
-          if (latency != nullptr) {
-            result.latency_ms.Add(latency->SampleMs(DataSource::kRemoteLake, r.size, rng));
-          }
-        }
-        // Keep until the next access iff storing is cheaper than refetching.
-        if (keep) {
-          keep_until(r.id, r.time, next, r.size);
-        } else {
-          stored_until.erase(r.id);
-        }
-        break;
-      }
-      case Op::kPut: {
-        // Data is written through to the lake, making any cached copy stale:
-        // a PUT must refresh-or-erase the stored entry. Keeping a stale
-        // entry made a later GET count a hit against the pre-PUT copy.
-        if (keep) {
-          keep_until(r.id, r.time, next, r.size);
-        } else {
-          stored_until.erase(r.id);
-        }
-        break;
-      }
-      case Op::kDelete:
-        stored_until.erase(r.id);
-        break;
     }
   }
 
-  const SimDuration span = trace.duration();
-  result.mean_stored_bytes = span <= 0 ? 0.0 : byte_time / static_cast<double>(span);
-  return result;
+  // Perfect packing (§5.4): operations are free.
+  PriceBook op_free = prices;
+  op_free.get_per_request = 0.0;
+  op_free.put_per_request = 0.0;
+  // Oracular has no window cadence: its cost timeline is the closing entry
+  // alone, and storage accrues between events only.
+  ExactOracleOptions options;
+  options.window = std::numeric_limits<SimDuration>::max();
+  options.latency = latency;
+  options.seed = seed;
+  return oracle_internal::BillKeepSchedule(trace, chains, keep, PriceSchedule(op_free),
+                                           options);
 }
 
 }  // namespace macaron

@@ -7,6 +7,10 @@
 // forced evictions and, per the paper, operation costs are assumed zero
 // (perfect packing); infrastructure costs are also excluded (idealized
 // benchmark).
+//
+// The rule only chooses the keep schedule; the exact oracle's replay
+// (exact_oracle.h) bills it, with GET/PUT prices zeroed. Under that op-free
+// basket the exact optimum is never above Oracular.
 
 #ifndef MACARON_SRC_ORACLE_ORACULAR_H_
 #define MACARON_SRC_ORACLE_ORACULAR_H_
@@ -14,25 +18,19 @@
 #include <cstdint>
 
 #include "src/cloudsim/latency.h"
-#include "src/common/stats.h"
-#include "src/pricing/cost_meter.h"
+#include "src/oracle/exact_oracle.h"
 #include "src/pricing/price_book.h"
 #include "src/trace/trace.h"
 
 namespace macaron {
 
-struct OracularResult {
-  CostMeter costs;
-  uint64_t osc_hits = 0;
-  uint64_t remote_fetches = 0;
-  uint64_t egress_bytes = 0;
-  // Time-averaged stored bytes (for capacity reporting).
-  double mean_stored_bytes = 0.0;
-  PercentileTracker latency_ms;
-};
+// Both oracles produce the same result type. Oracular leaves dp_total_usd
+// at 0, and its window_cost_timeline holds only the closing entry.
+using OracularResult = ExactOracleResult;
 
-// Runs the two-pass offline optimal over `trace`. If `latency` is non-null,
-// per-access latencies are sampled (hits from the OSC, misses remote).
+// Runs the §5.4 rule over `trace` under `prices` (operation prices
+// ignored). If `latency` is non-null, per-access latencies are sampled
+// (hits from the OSC, misses remote).
 OracularResult RunOracular(const Trace& trace, const PriceBook& prices,
                            const LatencySampler* latency, uint64_t seed);
 

@@ -47,7 +47,9 @@ namespace sweep {
 // (stale fills no longer admit or coalesce), sharded serving engine.
 // v4: event engine bills OSC operations of its final event drain and honors
 // enable_priming.
-inline constexpr std::string_view kSweepVersionSalt = "macaron-sweep-v4";
+// v5: Oracular bills its keep schedule through the exact oracle's replay
+// (storage at each event's own size, so a PUT that resizes is billed).
+inline constexpr std::string_view kSweepVersionSalt = "macaron-sweep-v5";
 
 struct Fingerprint {
   uint64_t hi = 0;

@@ -7,8 +7,10 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/common/check.h"
 #include "src/obs/decision_trace.h"
 #include "src/obs/metrics.h"
+#include "src/oracle/oracular.h"
 #include "src/sim/event_engine.h"
 #include "src/sim/replay_engine.h"
 #include "src/sim/report_io.h"
@@ -25,10 +27,11 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-RunResult OracularToRunResult(const std::string& trace_name, const OracularResult& o) {
+RunResult OracleToRunResult(const std::string& trace_name, const std::string& approach_name,
+                            const ExactOracleResult& o) {
   RunResult r;
   r.trace_name = trace_name;
-  r.approach_name = "oracular";
+  r.approach_name = approach_name;
   r.costs = o.costs;
   r.gets = o.osc_hits + o.remote_fetches;
   r.osc_hits = o.osc_hits;
@@ -39,51 +42,22 @@ RunResult OracularToRunResult(const std::string& trace_name, const OracularResul
   return r;
 }
 
-OracularResult RunResultToOracular(const RunResult& r) {
-  OracularResult o;
-  o.costs = r.costs;
-  o.osc_hits = r.osc_hits;
-  o.remote_fetches = r.remote_fetches;
-  o.egress_bytes = r.egress_bytes;
-  o.mean_stored_bytes = r.mean_stored_bytes;
-  o.latency_ms = r.latency_ms;
-  return o;
-}
-
-OracularResult RunOracularWithConfig(const Trace& trace, const EngineConfig& config) {
-  if (!config.measure_latency) {
-    return RunOracular(trace, config.prices, nullptr, config.seed);
+ExactOracleResult RunOracleWithConfig(const Trace& trace, const EngineConfig& config,
+                                      JobEngine engine) {
+  MACARON_CHECK(IsOracleEngine(engine));
+  std::optional<FittedLatencyGenerator> fitted;
+  if (config.measure_latency) {
+    fitted.emplace(GroundTruthLatency(config.scenario), 400, config.seed ^ 0xfeed);
   }
-  GroundTruthLatency truth(config.scenario);
-  FittedLatencyGenerator fitted(truth, 400, config.seed ^ 0xfeed);
-  return RunOracular(trace, config.prices, &fitted, config.seed);
-}
-
-RunResult ExactOracleToRunResult(const std::string& trace_name, const ExactOracleResult& o) {
-  RunResult r;
-  r.trace_name = trace_name;
-  r.approach_name = "exact-oracle";
-  r.costs = o.costs;
-  r.gets = o.osc_hits + o.remote_fetches;
-  r.osc_hits = o.osc_hits;
-  r.remote_fetches = o.remote_fetches;
-  r.egress_bytes = o.egress_bytes;
-  r.mean_stored_bytes = o.mean_stored_bytes;
-  r.latency_ms = o.latency_ms;
-  return r;
-}
-
-ExactOracleResult RunExactOracleWithConfig(const Trace& trace, const EngineConfig& config) {
+  const LatencySampler* latency = fitted.has_value() ? &*fitted : nullptr;
+  if (engine == JobEngine::kOracle) {
+    return RunOracular(trace, config.prices, latency, config.seed);
+  }
   ExactOracleOptions opts;
   opts.window = config.window;
   opts.shocks = config.price_shocks;
+  opts.latency = latency;
   opts.seed = config.seed;
-  if (!config.measure_latency) {
-    return RunExactOracle(trace, config.prices, opts);
-  }
-  GroundTruthLatency truth(config.scenario);
-  FittedLatencyGenerator fitted(truth, 400, config.seed ^ 0xfeed);
-  opts.latency = &fitted;
   return RunExactOracle(trace, config.prices, opts);
 }
 
@@ -228,15 +202,13 @@ void SweepScheduler::Execute(const SweepJobSpec& spec, const Fingerprint& key,
           exec->result = streamed != nullptr ? EventEngine(cfg).Run(*streamed)
                                              : EventEngine(cfg).Run(*held);
           break;
-        case JobEngine::kOracle: {
-          const std::string& name = spec.trace_name.empty() ? held->name : spec.trace_name;
-          exec->result = OracularToRunResult(name, RunOracularWithConfig(*held, spec.config));
-          break;
-        }
+        case JobEngine::kOracle:
         case JobEngine::kExactOracle: {
           const std::string& name = spec.trace_name.empty() ? held->name : spec.trace_name;
-          exec->result =
-              ExactOracleToRunResult(name, RunExactOracleWithConfig(*held, spec.config));
+          const char* approach =
+              spec.engine == JobEngine::kOracle ? "oracular" : "exact-oracle";
+          exec->result = OracleToRunResult(
+              name, approach, RunOracleWithConfig(*held, spec.config, spec.engine));
           break;
         }
       }

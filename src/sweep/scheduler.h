@@ -34,7 +34,6 @@
 
 #include "src/common/thread_pool.h"
 #include "src/oracle/exact_oracle.h"
-#include "src/oracle/oracular.h"
 #include "src/sim/engine_config.h"
 #include "src/sim/run_result.h"
 #include "src/sweep/fingerprint.h"
@@ -49,7 +48,7 @@ namespace sweep {
 enum class JobEngine : int {
   kReplay = 0,       // ReplayEngine (the paper's simulator; the default)
   kEvent = 1,        // EventEngine (prototype-fidelity, Table 3 validation)
-  kOracle = 2,       // Oracular offline approximation (adapted into a RunResult)
+  kOracle = 2,       // Oracular, the §5.4 keep rule (src/oracle/oracular.h)
   kExactOracle = 3,  // dollar-exact offline optimum (src/oracle/exact_oracle.h)
 };
 
@@ -182,27 +181,21 @@ class SweepScheduler {
   ThreadPool pool_;
 };
 
-// Adapters between the Oracular comparator's result type and the sweep's
-// uniform RunResult (field-preserving in both directions).
-RunResult OracularToRunResult(const std::string& trace_name, const OracularResult& o);
-OracularResult RunResultToOracular(const RunResult& r);
+// An oracle engine's result as a RunResult under `approach_name`
+// ("oracular" or "exact-oracle"). Cost/counter/latency fields are
+// preserved; the oracle-only extras (window timeline, crossover, dp total)
+// do not fit a RunResult — callers needing them (regret annotation,
+// crossover figures) run RunOracleWithConfig directly.
+RunResult OracleToRunResult(const std::string& trace_name, const std::string& approach_name,
+                            const ExactOracleResult& o);
 
-// Runs the Oracular offline optimal under `config` (prices, seed, and — when
-// measure_latency is set — the fitted latency generator, constructed exactly
-// as the bench harness always has).
-OracularResult RunOracularWithConfig(const Trace& trace, const EngineConfig& config);
-
-// Adapter for the dollar-exact offline optimum (approach name
-// "exact-oracle"). Cost/counter/latency fields are preserved; the
-// oracle-only extras (window timeline, crossover, dp total) do not fit a
-// RunResult — callers needing them (regret annotation, crossover figures)
-// run RunExactOracleWithConfig directly.
-RunResult ExactOracleToRunResult(const std::string& trace_name, const ExactOracleResult& o);
-
-// Runs the exact offline optimum under `config`: same prices, window
-// cadence, price shocks, seed, and (when measure_latency is set) the same
-// fitted latency generator construction as the engines.
-ExactOracleResult RunExactOracleWithConfig(const Trace& trace, const EngineConfig& config);
+// Runs oracle engine `engine` (kOracle or kExactOracle) under `config`:
+// same prices, seed, and (when measure_latency is set) the same fitted
+// latency generator construction as the engines. The exact oracle also
+// honors the window cadence and price shocks; Oracular's §5.4 rule is
+// defined on constant prices and ignores both.
+ExactOracleResult RunOracleWithConfig(const Trace& trace, const EngineConfig& config,
+                                      JobEngine engine);
 
 }  // namespace sweep
 }  // namespace macaron

@@ -1,14 +1,14 @@
 // MCTC: the chunked columnar on-disk trace format (v2, out-of-core replay).
 //
-// The row format (MCTR, trace_io.h) is a flat record array: fine for
-// interchange, but replay-shaped access wants the ReplayBatch SoA columns,
-// and TB-scale traces want chunked, checksummed, seekable storage. MCTC
-// stores per-chunk columns matching ReplayBatch (times/ids/sizes/ops),
-// compressed per column (monotone time deltas + LEB128 varints), with a
-// footer chunk directory carrying per-chunk offset/bytes/record-count/
-// min-max-time/FNV-1a. Framing follows the hardened ResultStore (MRSF0001)
-// discipline: magic + sizes + checksums, so truncated, torn, or foreign
-// files are rejected with a clear error instead of read short.
+// CSV (trace_io.h) is the interchange format, but replay-shaped access
+// wants the ReplayBatch SoA columns, and TB-scale traces want chunked,
+// checksummed, seekable storage. MCTC stores per-chunk columns matching
+// ReplayBatch (times/ids/sizes/ops), compressed per column (monotone time
+// deltas + LEB128 varints), with a footer chunk directory carrying
+// per-chunk offset/bytes/record-count/min-max-time/FNV-1a. Framing follows
+// the hardened ResultStore (MRSF0001) discipline: magic + sizes +
+// checksums, so truncated, torn, or foreign files are rejected with a clear
+// error instead of read short.
 //
 // Layout:
 //   header   "MCTC" + u32 LE version (2)

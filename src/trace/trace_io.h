@@ -1,5 +1,5 @@
-// Trace serialization: a compact binary format for replay and CSV for
-// interchange with external tooling (the released IBM/Uber traces are CSV).
+// Trace interchange as CSV, the format of the released IBM/Uber traces. The
+// replay-shaped on-disk format is MCTC (columnar_io.h).
 
 #ifndef MACARON_SRC_TRACE_TRACE_IO_H_
 #define MACARON_SRC_TRACE_TRACE_IO_H_
@@ -10,18 +10,9 @@
 
 namespace macaron {
 
-// Row binary format: magic "MCTR", u32 version, u64 count, then packed
-// records. The writer emits version 2, which frames every staging chunk
-// with its record count and an FNV-1a checksum (the hardened-ResultStore
-// discipline), so truncation and bit rot are detected chunk by chunk. The
-// reader accepts version 1 (legacy: magic + count-vs-file-size validation
-// only) and version 2 (checksummed). Returns false on failure; when
-// `error` is non-null it receives a clear description instead of the
-// caller guessing from a silent short read.
-bool WriteTraceBinary(const Trace& trace, const std::string& path);
-bool ReadTraceBinary(const std::string& path, Trace* out, std::string* error = nullptr);
-
 // CSV format: header "time_ms,op,object_id,size_bytes", one row per request.
+// The reader rejects malformed rows, lines longer than 255 bytes, and rows
+// whose time_ms is lower than the previous row's (traces are time-ordered).
 bool WriteTraceCsv(const Trace& trace, const std::string& path);
 bool ReadTraceCsv(const std::string& path, Trace* out);
 

@@ -293,7 +293,8 @@ TEST(SweepSchedulerTest, PersistentStoreServesSecondProcess) {
 TEST(SweepSchedulerTest, OracleJobMatchesDirectRun) {
   auto trace = std::make_shared<const Trace>(SmallTrace("oracle", 17));
   const EngineConfig cfg = SmallConfig(Approach::kRemote);
-  const OracularResult direct = sweep::RunOracularWithConfig(*trace, cfg);
+  const RunResult direct = sweep::OracleToRunResult(
+      trace->name, "oracular", sweep::RunOracleWithConfig(*trace, cfg, sweep::JobEngine::kOracle));
 
   sweep::SweepScheduler::Options opt;
   opt.threads = 1;
@@ -304,12 +305,7 @@ TEST(SweepSchedulerTest, OracleJobMatchesDirectRun) {
   spec.config = cfg;
   spec.engine = sweep::JobEngine::kOracle;
   const size_t id = sched.Submit(std::move(spec));
-  const OracularResult via = sweep::RunResultToOracular(sched.Result(id));
-  EXPECT_EQ(via.costs.Total(), direct.costs.Total());
-  EXPECT_EQ(via.osc_hits, direct.osc_hits);
-  EXPECT_EQ(via.remote_fetches, direct.remote_fetches);
-  EXPECT_EQ(via.egress_bytes, direct.egress_bytes);
-  EXPECT_EQ(via.mean_stored_bytes, direct.mean_stored_bytes);
+  EXPECT_EQ(SerializeRunResult(sched.Result(id)), SerializeRunResult(direct));
 }
 
 TEST(SweepSchedulerTest, RejectsUnresolvableSpecs) {
@@ -416,8 +412,10 @@ TEST(HashOncePipelineTest, BothEnginesByteStableAcrossRuns) {
 // both change simulated results, so cached v1 entries had to be retired.
 // v3 -> v4 was: the event engine now bills OSC operations of its final event
 // drain and honors enable_priming, which changes cached event-engine results.
+// v4 -> v5 was: Oracular bills its keep schedule through the exact oracle's
+// replay, which changes cached Oracular results.
 TEST(HashOncePipelineTest, SweepVersionSaltDeliberate) {
-  EXPECT_EQ(sweep::kSweepVersionSalt, "macaron-sweep-v4");
+  EXPECT_EQ(sweep::kSweepVersionSalt, "macaron-sweep-v5");
 }
 
 TEST(ResultStoreTest, DisabledStoreIsInert) {
