@@ -16,7 +16,7 @@
 #include "bench/harness.h"
 #include "src/cache/flat_index.h"
 #include "src/cache/lru_cache.h"
-#include "src/cache/reference_caches.h"
+#include "tests/reference_caches.h"
 #include "src/cache/simd.h"
 #include "src/cache/slab_lru.h"
 #include "src/cache/ttl_cache.h"
@@ -117,7 +117,7 @@ BENCHMARK(BM_MrcBankProcess)->Arg(48)->Arg(200);
 // generation: the Zipf stream is precomputed once and replayed from a flat
 // array, so the loop body is Get + (on miss) Put and nothing else. The
 // *SeedReference variants run the identical loop against the seed's
-// list+unordered_map implementation (src/cache/reference_caches.h), so one
+// list+unordered_map implementation (tests/reference_caches.h), so one
 // binary reports the flat-core speedup on the same stream. Capacity selects
 // the hit ratio: the stream draws from 100k objects of 4 KB (~410 MB of
 // distinct data), so 8 MB is miss-heavy and 256 MB hit-heavy; the realized

@@ -28,11 +28,17 @@
 //   --num-shards=1          serving shards (structural: changes the deployment)
 //   --shard-threads=1       shard worker threads (same output any value)
 //   --verbose               print reconfiguration timelines
+//
+// A numeric flag whose value is not entirely a number, or a count (seed,
+// threads, shards) that is negative, exits with status 2.
 
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 
 #include "src/sim/replay_engine.h"
 #include "src/trace/splitter.h"
@@ -50,6 +56,30 @@ bool FlagValue(const char* arg, const char* name, std::string* out) {
     return true;
   }
   return false;
+}
+
+// The whole of `v` as a T; exits 2 on an empty value, trailing garbage or
+// a value out of T's range.
+template <typename T>
+T ParseNumber(const char* flag, const std::string& v) {
+  T out{};
+  const char* end = v.data() + v.size();
+  const auto [stop, ec] = std::from_chars(v.data(), end, out);
+  if (v.empty() || ec != std::errc() || stop != end) {
+    std::fprintf(stderr, "%s: '%s' is not a valid number\n", flag, v.c_str());
+    std::exit(2);
+  }
+  return out;
+}
+
+// A non-negative int (thread and shard counts).
+int ParseCount(const char* flag, const std::string& v) {
+  const long long n = ParseNumber<long long>(flag, v);
+  if (n < 0 || n > INT_MAX) {
+    std::fprintf(stderr, "%s: '%s' is not a non-negative count\n", flag, v.c_str());
+    std::exit(2);
+  }
+  return static_cast<int>(n);
 }
 
 Approach ParseApproach(const std::string& s) {
@@ -119,29 +149,32 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (FlagValue(argv[i], "--egress-scale", &v)) {
-      egress_scale = std::atof(v.c_str());
+      egress_scale = ParseNumber<double>("--egress-scale", v);
     } else if (FlagValue(argv[i], "--window-min", &v)) {
-      cfg.window = static_cast<SimDuration>(std::atof(v.c_str()) * kMinute);
+      cfg.window = static_cast<SimDuration>(ParseNumber<double>("--window-min", v) * kMinute);
     } else if (FlagValue(argv[i], "--observation-hours", &v)) {
-      cfg.observation = static_cast<SimDuration>(std::atof(v.c_str()) * kHour);
+      cfg.observation =
+          static_cast<SimDuration>(ParseNumber<double>("--observation-hours", v) * kHour);
     } else if (FlagValue(argv[i], "--decay", &v)) {
-      cfg.decay_per_day = std::atof(v.c_str());
+      cfg.decay_per_day = ParseNumber<double>("--decay", v);
     } else if (FlagValue(argv[i], "--policy", &v)) {
       cfg.packing.policy = ParsePolicy(v);
     } else if (FlagValue(argv[i], "--dark", &v)) {
-      cfg.dark_data_fraction = std::atof(v.c_str());
+      cfg.dark_data_fraction = ParseNumber<double>("--dark", v);
     } else if (FlagValue(argv[i], "--static-capacity-gb", &v)) {
-      cfg.static_capacity_bytes = static_cast<uint64_t>(std::atof(v.c_str()) * 1e9);
+      cfg.static_capacity_bytes =
+          static_cast<uint64_t>(ParseNumber<double>("--static-capacity-gb", v) * 1e9);
     } else if (FlagValue(argv[i], "--static-ttl-hours", &v)) {
-      cfg.static_ttl = static_cast<SimDuration>(std::atof(v.c_str()) * kHour);
+      cfg.static_ttl =
+          static_cast<SimDuration>(ParseNumber<double>("--static-ttl-hours", v) * kHour);
     } else if (FlagValue(argv[i], "--seed", &v)) {
-      cfg.seed = static_cast<uint64_t>(std::atoll(v.c_str()));
+      cfg.seed = ParseNumber<uint64_t>("--seed", v);
     } else if (FlagValue(argv[i], "--analyzer-threads", &v)) {
-      cfg.analyzer_threads = std::atoi(v.c_str());
+      cfg.analyzer_threads = ParseCount("--analyzer-threads", v);
     } else if (FlagValue(argv[i], "--num-shards", &v)) {
-      cfg.num_shards = std::atoi(v.c_str());
+      cfg.num_shards = ParseCount("--num-shards", v);
     } else if (FlagValue(argv[i], "--shard-threads", &v)) {
-      cfg.shard_threads = std::atoi(v.c_str());
+      cfg.shard_threads = ParseCount("--shard-threads", v);
     } else if (std::strcmp(argv[i], "--no-packing") == 0) {
       cfg.packing.packing_enabled = false;
     } else if (std::strcmp(argv[i], "--admission-bypass") == 0) {

@@ -4,6 +4,7 @@
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
+#include "src/pricing/ledger.h"
 
 namespace macaron {
 namespace oracle_internal {
@@ -45,10 +46,12 @@ ObjectChains BuildObjectChains(const Trace& trace) {
   return c;
 }
 
-// Global forward replay in trace order. Produces the authoritative
-// CostMeter, counters, latency samples, and the cumulative cost timeline at
-// window boundaries (boundary cost excludes events at exactly the boundary
-// time, matching the engines' WindowBoundary order).
+// Global forward replay in trace order, billed through one ledger. Storage
+// integrates once per gap between events (plus once at each epoch start a
+// gap crosses), so the reporting window never moves a dollar. Timeline
+// entries value the ledger at each window boundary without advancing it
+// (boundary cost excludes events at exactly the boundary time, matching the
+// engines' WindowBoundary order).
 ExactOracleResult BillKeepSchedule(const Trace& trace, const ObjectChains& chains,
                                    const std::vector<uint8_t>& keep,
                                    const PriceSchedule& sched,
@@ -61,39 +64,38 @@ ExactOracleResult BillKeepSchedule(const Trace& trace, const ObjectChains& chain
   std::vector<uint8_t> resident(num_objects, 0);
   std::vector<uint8_t> cached(num_objects, 0);
   uint64_t stored_bytes = 0;
-  double byte_time = 0.0;
   double remote_only = 0.0;
-  SimTime cursor = trace.start_time();
+  pricing::Ledger ledger(sched, trace.start_time());
   SimTime next_boundary = options.window;
-  while (next_boundary <= cursor) {
+  while (next_boundary <= trace.start_time()) {
     result.window_cost_timeline.emplace_back(next_boundary, 0.0);
     next_boundary += options.window;
   }
 
-  const auto accrue_to = [&](SimTime to) {
-    if (to > cursor) {
-      if (stored_bytes > 0) {
-        result.costs.Add(CostCategory::kCapacity,
-                         sched.StorageCostOver(stored_bytes, cursor, to));
-        byte_time += static_cast<double>(stored_bytes) * static_cast<double>(to - cursor);
-      }
-      cursor = to;
-    }
-  };
-
   for (size_t i = 0; i < n; ++i) {
     const Request& r = trace.requests[i];
     const uint32_t o = chains.obj_of[i];
-    while (next_boundary <= r.time) {
-      accrue_to(next_boundary);
-      result.window_cost_timeline.emplace_back(next_boundary, result.costs.Total());
-      next_boundary += options.window;
+    const double held = static_cast<double>(stored_bytes);
+    // Epoch starts and boundaries due by this event, in time order; an
+    // epoch starting at a boundary reprices before the boundary is valued.
+    for (;;) {
+      const SimTime epoch = ledger.next_epoch_start();
+      if (epoch <= r.time && epoch <= next_boundary) {
+        ledger.AdvanceTo(epoch, held, 0);
+        ledger.Reprice(epoch);
+      } else if (next_boundary <= r.time) {
+        result.window_cost_timeline.emplace_back(next_boundary,
+                                                 ledger.RealizedUsd(next_boundary, held));
+        next_boundary += options.window;
+      } else {
+        break;
+      }
     }
-    accrue_to(r.time);
-    const PriceBook& book = sched.At(r.time);
+    ledger.AdvanceTo(r.time, held, 0);
+    const PriceBook& book = ledger.book();
     const bool hit = r.op == Op::kGet && resident[o];
     if (r.op == Op::kGet) {
-      result.costs.Add(CostCategory::kOperation, book.GetCost(1));
+      ledger.Gets(1);
       if (hit) {
         ++result.osc_hits;
         if (options.latency != nullptr) {
@@ -101,8 +103,7 @@ ExactOracleResult BillKeepSchedule(const Trace& trace, const ObjectChains& chain
         }
       } else {
         ++result.remote_fetches;
-        result.egress_bytes += r.size;
-        result.costs.Add(CostCategory::kEgress, book.EgressCost(r.size));
+        ledger.Egress(r.size);
         if (options.latency != nullptr) {
           result.latency_ms.Add(
               options.latency->SampleMs(DataSource::kRemoteLake, r.size, rng));
@@ -112,7 +113,7 @@ ExactOracleResult BillKeepSchedule(const Trace& trace, const ObjectChains& chain
     }
     if (keep[i] && !hit) {  // a PUT, or a missed GET, admits the copy it keeps
       ++result.admits;
-      result.costs.Add(CostCategory::kOperation, book.PutCost(1));
+      ledger.Puts(1);
       cached[o] = 1;
     }
     resident[o] = keep[i];
@@ -122,6 +123,9 @@ ExactOracleResult BillKeepSchedule(const Trace& trace, const ObjectChains& chain
     contrib[o] = now_contrib;
   }
   MACARON_CHECK(stored_bytes == 0);  // nothing is stored past an object's last event
+  const double byte_ms = ledger.Close();
+  result.costs = ledger.costs();
+  result.egress_bytes = ledger.egress_bytes();
   result.window_cost_timeline.emplace_back(trace.end_time(), result.costs.Total());
 
   result.remote_only_usd = remote_only;
@@ -131,7 +135,7 @@ ExactOracleResult BillKeepSchedule(const Trace& trace, const ObjectChains& chain
     result.objects_cached += cached[o];
   }
   const SimDuration span = trace.duration();
-  result.mean_stored_bytes = span <= 0 ? 0.0 : byte_time / static_cast<double>(span);
+  result.mean_stored_bytes = span <= 0 ? 0.0 : byte_ms / static_cast<double>(span);
   return result;
 }
 

@@ -2,16 +2,18 @@
 //
 // Cloud providers reprice egress, storage, and request operations on
 // announcement dates, not continuously; a PriceShock multiplies the active
-// data-path rates at a point in simulated time. The engines apply pending
-// shocks at window boundaries (the controller's natural reaction cadence —
-// billing integrals are flushed at the old rates first, so a run with no
-// shocks is bit-identical to one built before shocks existed), and the
-// exact offline oracle integrates storage cost piecewise over the same
-// epochs, so both sides of a regret comparison see identical economics.
+// data-path rates at a point in simulated time. Engines and oracles both
+// bill through pricing::Ledger (ledger.h), which bills its storage integral
+// at the outgoing rates when an epoch starts and then moves to the new
+// book. The engines reprice at window boundaries (the controller's natural
+// reaction cadence), and the oracles use shocks aligned to the same
+// boundaries (AlignShocksToWindows), so both sides of a regret comparison
+// see identical economics. The exact oracle's DP prices each gap with
+// StorageCostOver over the same epochs.
 //
 // Infrastructure rates (VM, cache-node, Lambda) are deliberately not
 // shocked: the scenarios this models are data-price repricing events, and
-// the infra fleet is billed by the engines from rates captured at setup.
+// the infra fleet is billed by the engines at rates every epoch shares.
 
 #ifndef MACARON_SRC_PRICING_PRICE_SCHEDULE_H_
 #define MACARON_SRC_PRICING_PRICE_SCHEDULE_H_

@@ -138,7 +138,7 @@ void ReplayRunner::GetRemote(Shard& sh, uint64_t size) {
 void ReplayRunner::GetReplicated(Shard& sh, uint64_t size) {
   // All reads are served by the local replica.
   ++sh.osc_hits;
-  sh.costs.Add(CostCategory::kOperation, prices_.GetCost(1));
+  sh.ledger.Gets(1);
   RecordLatency(sh, DataSource::kOsc, size);
 }
 
@@ -215,9 +215,7 @@ void ReplayRunner::ProcessRequest(Shard& sh, SimTime time, ObjectId id, uint64_t
       // the paper bills sync egress on (§7.1).
       const double sync_bytes =
           static_cast<double>(size) / (1.0 - cfg_.dark_data_fraction);
-      sh.costs.Add(CostCategory::kEgress,
-                   prices_.EgressCost(static_cast<uint64_t>(sync_bytes)));
-      sh.egress_bytes += static_cast<uint64_t>(sync_bytes);
+      sh.ledger.Egress(static_cast<uint64_t>(sync_bytes));
     }
   }
   switch (op) {
@@ -328,7 +326,7 @@ void ReplayRunner::OnDecision(SimTime t, const ReconfigDecision& d) {
   // as serving everything remotely (no capacity, no packing PUTs).
   if (cfg_.enable_admission_bypass && !d.cost_curve.empty()) {
     const double best_with_cache = d.cost_curve.y(d.cost_curve.ArgMin());
-    const double no_cache_egress = prices_.EgressCost(
+    const double no_cache_egress = schedule_.At(t).EgressCost(
         static_cast<uint64_t>(d.expected_window_get_bytes));
     if (best_with_cache >= no_cache_egress * 0.98) {
       ++min_capacity_streak_;

@@ -13,7 +13,8 @@ ShardRuntime::ShardRuntime(const EngineConfig& cfg, RequestSource& source,
                            const char* name_suffix)
     : cfg_(cfg),
       info_(source.Info()),
-      prices_(ScaledInfraPrices(cfg.prices, cfg.infra_scale)),
+      schedule_(ScaledInfraPrices(cfg.prices, cfg.infra_scale),
+                AlignShocksToWindows(cfg.price_shocks, cfg.window)),
       truth_(cfg.scenario),
       fitted_(truth_, /*samples_per_bucket=*/400, cfg.seed ^ 0xfeed),
       num_shards_(std::max(cfg.num_shards, 1)),
@@ -48,9 +49,9 @@ bool ShardRuntime::IsElasticClusterCache() const {
 void ShardRuntime::Setup() {
   result_.trace_name = info_.name;
   result_.approach_name = std::string(ApproachName(cfg_.approach)) + name_suffix_;
-  shocks_ = AlignShocksToWindows(cfg_.price_shocks, cfg_.window);
-  std::stable_sort(shocks_.begin(), shocks_.end(),
-                   [](const PriceShock& a, const PriceShock& b) { return a.at < b.at; });
+  // Shocks at or before t=0 are in force from the very first request (no
+  // boundary precedes it); infrastructure rates are the same in every epoch.
+  const PriceBook& prices = schedule_.At(0);
 
   const TraceStats& stats = info_.stats;
   const uint64_t dataset = DatasetBytes();
@@ -67,16 +68,21 @@ void ShardRuntime::Setup() {
 
   // Default cluster economics (Macaron's own DRAM tier); overridden below
   // for the elastic-cluster-cache approaches.
-  node_usable_ = prices_.cache_node_usable_bytes;
-  node_price_per_hour_ = prices_.cache_node_per_hour;
+  node_usable_ = prices.cache_node_usable_bytes;
+  double node_per_hour = prices.cache_node_per_hour;
   if (cfg_.approach == Approach::kFlashEcpc) {
-    node_usable_ = prices_.flash_node_usable_bytes;
-    node_price_per_hour_ = prices_.flash_node_per_hour;
+    node_usable_ = prices.flash_node_usable_bytes;
+    node_per_hour = prices.flash_node_per_hour;
   }
+  // Replicated's replica turns over once per retention; the churn is
+  // synchronized to it as egress.
+  const SimDuration churn_retention =
+      cfg_.approach == Approach::kReplicated ? cfg_.retention : 0;
 
-  shards_.resize(static_cast<size_t>(num_shards_));
+  shards_.reserve(static_cast<size_t>(num_shards_));
   for (int s = 0; s < num_shards_; ++s) {
-    Shard& sh = shards_[static_cast<size_t>(s)];
+    Shard& sh =
+        shards_.emplace_back(pricing::Ledger(schedule_, 0, churn_retention, node_per_hour));
     // Shard 0 inherits the historical engine seed so num_shards = 1
     // reproduces the unsharded engine's latency draws exactly; other
     // shards fork deterministic independent streams.
@@ -92,7 +98,7 @@ void ShardRuntime::Setup() {
         sh.ttl_shadow = std::make_unique<TtlCache>(initial_ttl);
       }
       if (cfg_.approach == Approach::kMacaron) {
-        sh.cluster = std::make_unique<CacheCluster>(prices_.cache_node_usable_bytes);
+        sh.cluster = std::make_unique<CacheCluster>(prices.cache_node_usable_bytes);
       }
     } else if (IsElasticClusterCache()) {
       sh.cluster = std::make_unique<CacheCluster>(node_usable_);
@@ -103,7 +109,7 @@ void ShardRuntime::Setup() {
   // object whose fill is still outstanding drops the in-flight entry, so
   // later requests re-fetch instead of coalescing onto a discarded fill
   // (and the event engine's deferred admission cannot resurrect it).
-  // Done after the resize above so the captured shard pointers are stable.
+  // Done once every shard is in place, so the captured pointers are stable.
   for (Shard& sh : shards_) {
     Shard* p = &sh;
     if (sh.ttl_shadow != nullptr) {
@@ -164,7 +170,7 @@ void ShardRuntime::Setup() {
       default:
         break;
     }
-    controller_ = std::make_unique<MacaronController>(cc, prices_, &fitted_);
+    controller_ = std::make_unique<MacaronController>(cc, prices, &fitted_);
     // The analyzer's mini-sim banks fork their batch replays on the shared
     // engine pool (sized above to cover analyzer_threads), overlapping them
     // with serving. The outputs are bit-identical at any pool size.
@@ -198,8 +204,7 @@ void ShardRuntime::ChargeOscOps(Shard& sh) {
     return;
   }
   const ObjectStorageCache::OpCounts ops = sh.osc->TakeOps();
-  sh.costs.Add(CostCategory::kOperation,
-               prices_.PutCost(ops.puts) + prices_.GetCost(ops.gets + ops.gc_block_reads));
+  sh.ledger.Operations(ops.gets + ops.gc_block_reads, ops.puts);
 }
 
 ShardShare ShardRuntime::ShareFor(const ReconfigDecision& d, size_t s) const {
@@ -222,8 +227,7 @@ void ShardRuntime::ApplyToShard(Shard& sh, const ShardShare& share, SimTime now)
       if (sh.cluster != nullptr) {
         const std::vector<uint32_t> added = sh.cluster->Resize(share.cluster_nodes);
         if (cfg_.enable_priming) {
-          const uint64_t primed = sh.cluster->Prime(*sh.osc, added);
-          sh.costs.Add(CostCategory::kOperation, prices_.GetCost(primed));
+          sh.ledger.Gets(sh.cluster->Prime(*sh.osc, added));
         }
       }
       break;
@@ -237,70 +241,19 @@ void ShardRuntime::ApplyToShard(Shard& sh, const ShardShare& share, SimTime now)
   }
 }
 
-void ShardRuntime::FlushDataIntegrals(Shard& sh) {
-  // Mirrors Finalize's per-shard conversion exactly (same formulas, same
-  // addition order) so that the no-shock single-flush path is bit-identical
-  // to the historical Finalize-only accounting.
-  if (sh.osc != nullptr) {
-    const double gb_months = sh.osc_byte_ms / 1.0e9 / static_cast<double>(kBillingMonth);
-    sh.costs.Add(CostCategory::kCapacity, gb_months * prices_.object_storage_per_gb_month);
-    sh.osc_byte_ms_flushed += sh.osc_byte_ms;
-    sh.osc_byte_ms = 0.0;
-  }
-  if (cfg_.approach == Approach::kReplicated) {
-    const double gb_months = sh.replica_byte_ms / 1.0e9 / static_cast<double>(kBillingMonth);
-    sh.costs.Add(CostCategory::kCapacity, gb_months * prices_.object_storage_per_gb_month);
-    sh.replica_byte_ms_flushed += sh.replica_byte_ms;
-    sh.replica_byte_ms = 0.0;
-    // Retention churn: the dataset turns over every `retention`; replaced
-    // data must be synchronized to the replica.
-    const double churn_bytes = sh.churn_byte_ms / static_cast<double>(cfg_.retention);
-    sh.costs.Add(CostCategory::kEgress,
-                 prices_.EgressCost(static_cast<uint64_t>(churn_bytes)));
-    sh.egress_bytes += static_cast<uint64_t>(churn_bytes);
-    sh.churn_byte_ms = 0.0;
-    // Replica GET op costs are charged inline.
-  }
-  // node_ms is deliberately not flushed: node rates are infrastructure
-  // prices, which shocks never touch.
-}
-
-void ShardRuntime::ApplyPriceShocks(SimTime t) {
-  if (next_shock_ >= shocks_.size() || shocks_[next_shock_].at > t) {
+void ShardRuntime::Reprice(SimTime t) {
+  if (shards_[0].ledger.next_epoch_start() > t) {
     return;
   }
-  // Bill everything accrued so far — integrals and pending OSC ops — at the
-  // outgoing rates before swapping the book.
+  // Everything accrued so far — integrals and pending OSC ops — is billed
+  // at the outgoing book before the ledgers move to the new epoch.
   pool_.ParallelFor(shards_.size(), [&](size_t s) {
-    FlushDataIntegrals(shards_[s]);
     ChargeOscOps(shards_[s]);
+    shards_[s].ledger.Reprice(t);
   });
-  while (next_shock_ < shocks_.size() && shocks_[next_shock_].at <= t) {
-    prices_ = ApplyPriceShock(prices_, shocks_[next_shock_]);
-    ++next_shock_;
-  }
   if (controller_ != nullptr) {
-    controller_->UpdatePrices(prices_);
+    controller_->UpdatePrices(schedule_.At(t));
   }
-}
-
-double ShardRuntime::RealizedDataCostUsd() const {
-  double total = 0.0;
-  for (const Shard& sh : shards_) {
-    total += sh.costs.Get(CostCategory::kEgress) + sh.costs.Get(CostCategory::kCapacity) +
-             sh.costs.Get(CostCategory::kOperation);
-    if (sh.osc != nullptr) {
-      total += sh.osc_byte_ms / 1.0e9 / static_cast<double>(kBillingMonth) *
-               prices_.object_storage_per_gb_month;
-    }
-    if (cfg_.approach == Approach::kReplicated) {
-      total += sh.replica_byte_ms / 1.0e9 / static_cast<double>(kBillingMonth) *
-                   prices_.object_storage_per_gb_month +
-               prices_.EgressCost(static_cast<uint64_t>(
-                   sh.churn_byte_ms / static_cast<double>(cfg_.retention)));
-    }
-  }
-  return total;
 }
 
 void ShardRuntime::ReplaySegment(const ReplayBatch& chunk, size_t begin, size_t end) {
@@ -382,7 +335,7 @@ void ShardRuntime::WindowBoundary(SimTime t) {
   // Repricing events aligned to this boundary take effect before the
   // controller optimizes, so the decision already reflects the new
   // economics (integrals were just completed through t at the old rates).
-  ApplyPriceShocks(t);
+  Reprice(t);
 
   // Phase B: the controller reconfigures over summed shard state.
   if (controller_ != nullptr) {
@@ -395,7 +348,8 @@ void ShardRuntime::WindowBoundary(SimTime t) {
       ++result_.reconfigs;
       result_.total_reconfig_seconds += d.reconfig_seconds;
       result_.total_analysis_seconds += d.analysis_seconds;
-      result_.costs.Add(CostCategory::kServerless, prices_.LambdaCost(d.lambda_gb_seconds));
+      result_.costs.Add(CostCategory::kServerless,
+                        schedule_.At(t).LambdaCost(d.lambda_gb_seconds));
       OnDecision(t, d);
     }
   }
@@ -412,7 +366,11 @@ void ShardRuntime::WindowBoundary(SimTime t) {
   // thread, shards idle, fixed fold order — thread-count independent.
   if (controller_ != nullptr && cfg_.decision_trace != nullptr) {
     if (obs::DecisionRecord* rec = cfg_.decision_trace->mutable_last()) {
-      rec->realized_cost_usd = RealizedDataCostUsd();
+      double realized = 0.0;
+      for (Shard& sh : shards_) {
+        realized = sh.ledger.RealizedUsd(t, HeldBytes(sh), realized);
+      }
+      rec->realized_cost_usd = realized;
     }
   }
 }
@@ -421,27 +379,14 @@ void ShardRuntime::Finalize() {
   const SimTime end = info_.end_time;
   const SimDuration span = std::max<SimDuration>(end, 1);
 
-  // Convert per-shard integrals into per-shard costs (still shard-local, so
-  // a single shard reproduces the unsharded addition sequence exactly).
-  // Without price shocks this is the only flush, and the *_flushed lifetime
-  // totals equal the raw integrals bit for bit. The OSC charge bills
-  // operations of events that ran after the last boundary (the event
+  // Close every shard's ledger (still shard-local, so a single shard
+  // reproduces the unsharded addition sequence exactly). The OSC charge
+  // bills operations of events that ran after the last boundary (the event
   // engine's final drain); otherwise it adds +0.0.
-  double osc_byte_ms_total = 0.0;
-  double replica_byte_ms_total = 0.0;
+  double held_byte_ms = 0.0;
   for (Shard& sh : shards_) {
     ChargeOscOps(sh);
-    FlushDataIntegrals(sh);
-    if (sh.osc != nullptr) {
-      osc_byte_ms_total += sh.osc_byte_ms_flushed;
-    }
-    if (cfg_.approach == Approach::kReplicated) {
-      replica_byte_ms_total += sh.replica_byte_ms_flushed;
-    }
-    if (sh.cluster != nullptr) {
-      const double node_hours = sh.node_ms / static_cast<double>(kHour);
-      sh.costs.Add(CostCategory::kClusterNodes, node_hours * node_price_per_hour_);
-    }
+    held_byte_ms += sh.ledger.Close();
   }
 
   // Deterministic merge, fixed shard order 0..S-1. Counters and per-category
@@ -449,26 +394,21 @@ void ShardRuntime::Finalize() {
   // (PercentileTracker preserves insertion order, so the merged tracker
   // serializes identically at any thread count).
   for (Shard& sh : shards_) {
-    result_.costs.Merge(sh.costs);
+    result_.costs.Merge(sh.ledger.costs());
     result_.gets += sh.gets;
     result_.cluster_hits += sh.cluster_hits;
     result_.osc_hits += sh.osc_hits;
     result_.remote_fetches += sh.remote_fetches;
     result_.delayed_hits += sh.delayed_hits;
-    result_.egress_bytes += sh.egress_bytes;
+    result_.egress_bytes += sh.ledger.egress_bytes();
     for (double v : sh.latency_ms.samples()) {
       result_.latency_ms.Add(v);
     }
   }
-  if (shards_[0].osc != nullptr) {
-    result_.mean_stored_bytes = osc_byte_ms_total / static_cast<double>(span);
-  }
-  if (cfg_.approach == Approach::kReplicated) {
-    result_.mean_stored_bytes = replica_byte_ms_total / static_cast<double>(span);
-  }
+  result_.mean_stored_bytes = held_byte_ms / static_cast<double>(span);
   if (IsMacaronFamily() || IsElasticClusterCache()) {
     // One r5.xlarge hosting the controller and OSC manager.
-    result_.costs.Add(CostCategory::kInfra, prices_.VmCost(span));
+    result_.costs.Add(CostCategory::kInfra, schedule_.At(end).VmCost(span));
   }
   if (cfg_.metrics != nullptr) {
     for (const Shard& sh : shards_) {
@@ -491,9 +431,6 @@ void ShardRuntime::Finalize() {
 
 RunResult ShardRuntime::Run() {
   Setup();
-  // Shocks at or before t=0 are in force from the very first request (no
-  // boundary precedes it).
-  ApplyPriceShocks(0);
   if (info_.empty()) {
     return std::move(result_);
   }

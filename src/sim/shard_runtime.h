@@ -5,7 +5,7 @@
 // ingest (one Mix64 per request, reused by ShardRouter::ShardOf and every
 // cache level below), each shard owns every piece of per-object serving
 // state (OSC, cluster slice, TTL shadow, in-flight table, RNG stream,
-// counters, cost meter, integrals, event queue), and windows replay
+// counters, billing ledger, event queue), and windows replay
 // shard-parallel on one shared pool while the controller observes the
 // window's raw stream on the calling thread. Shards share no mutable state
 // during replay, and all cross-shard aggregation (controller inputs at
@@ -22,12 +22,13 @@
 // streamed and materialized replays of the same stream are bit-identical.
 //
 // ShardRuntime owns everything the two engines share: shards and the pool,
-// setup, billing, the shock flush, segment partition and serve/observe
-// overlap, the three-phase window boundary, and the shard-order fold. An
-// engine derives from it and supplies only what makes it that engine,
-// through the hooks below. Hooks are virtual only at segment, boundary, or
-// run granularity; the per-request handler is passed to ServeBatch as a
-// lambda, so it inlines into the batch loop with no indirect call.
+// setup, billing through per-shard ledgers, repricing, segment partition
+// and serve/observe overlap, the three-phase window boundary, and the
+// shard-order fold. An engine derives from it and supplies only what makes
+// it that engine, through the hooks below. Hooks are virtual only at
+// segment, boundary, or run granularity; the per-request handler is passed
+// to ServeBatch as a lambda, so it inlines into the batch loop with no
+// indirect call.
 
 #ifndef MACARON_SRC_SIM_SHARD_RUNTIME_H_
 #define MACARON_SRC_SIM_SHARD_RUNTIME_H_
@@ -48,6 +49,8 @@
 #include "src/controller/controller.h"
 #include "src/obs/metrics.h"
 #include "src/osc/osc.h"
+#include "src/pricing/ledger.h"
+#include "src/pricing/price_schedule.h"
 #include "src/sim/engine_config.h"
 #include "src/sim/run_result.h"
 #include "src/sim/shard_router.h"
@@ -75,6 +78,8 @@ class ShardRuntime {
   // All state one serving shard owns. Everything mutated on a worker thread
   // during replay lives here; a shard never touches another shard's fields.
   struct Shard {
+    explicit Shard(const pricing::Ledger& l) : ledger(l) {}
+
     // Macaron-family components (per-shard slices).
     std::unique_ptr<ObjectStorageCache> osc;
     std::unique_ptr<CacheCluster> cluster;
@@ -85,36 +90,23 @@ class ShardRuntime {
     // applies, shard-local.
     EventQueue queue;
 
-    // Partial RunResult: merged deterministically after the run.
-    CostMeter costs;
+    // Partial RunResult: merged deterministically after the run. Every
+    // data-path dollar (and egress byte) is posted to the ledger, which
+    // integrates held bytes and cluster nodes between this shard's own
+    // event times, so the per-shard integrals are exact and sum to the
+    // unsharded values.
+    pricing::Ledger ledger;
     uint64_t gets = 0;
     uint64_t cluster_hits = 0;
     uint64_t osc_hits = 0;
     uint64_t remote_fetches = 0;
     uint64_t delayed_hits = 0;
-    uint64_t egress_bytes = 0;
     PercentileTracker latency_ms;
 
     // Replicated baseline state (id-partitioned, so per-shard sets are an
     // exact partition of the global first-touch set).
     std::unordered_set<ObjectId> seen;
     uint64_t known_dataset_bytes = 0;
-
-    // Integration state. Each integral accumulates a piecewise-constant
-    // function that only changes at this shard's own event times, so the
-    // per-shard integrals are exact (not an approximation of the global
-    // ones) and sum to the unsharded values. When a price shock lands, the
-    // price-sensitive integrals are flushed into `costs` at the old rates
-    // and reset (the *_flushed lifetime totals keep mean_stored_bytes
-    // exact); without shocks the single flush happens in Finalize, which
-    // reproduces the historical addition sequence bit for bit.
-    SimTime last_integrate = 0;
-    double osc_byte_ms = 0.0;      // object-storage resident bytes * ms
-    double replica_byte_ms = 0.0;  // replica dataset bytes * ms
-    double node_ms = 0.0;          // cache/ECPC node count * ms
-    double churn_byte_ms = 0.0;    // replica dataset bytes * ms (churn egress)
-    double osc_byte_ms_flushed = 0.0;
-    double replica_byte_ms_flushed = 0.0;
 
     // Per-shard metrics registry (allocated only when the run has a
     // metrics sink); folded into the engine sink after the run.
@@ -178,9 +170,8 @@ class ShardRuntime {
   // A GET served from the remote data lake: egress plus one GET operation.
   void BillRemoteFetch(Shard& sh, uint64_t size) {
     ++sh.remote_fetches;
-    sh.egress_bytes += size;
-    sh.costs.Add(CostCategory::kEgress, prices_.EgressCost(size));
-    sh.costs.Add(CostCategory::kOperation, prices_.GetCost(1));
+    sh.ledger.Egress(size);
+    sh.ledger.Gets(1);
   }
   // A DELETE through every Macaron-family cache level of the shard.
   void EraseObject(Shard& sh, ObjectId id, uint64_t h) {
@@ -194,25 +185,20 @@ class ShardRuntime {
     sh.inflight.Erase(id);
   }
 
-  // Advances the shard's cost integrals to `t`. Per request, so inline.
-  void Integrate(Shard& sh, SimTime t) {
-    if (t <= sh.last_integrate) {
-      return;
-    }
-    const double dt = static_cast<double>(t - sh.last_integrate);
+  // Bytes the shard holds in object storage: the OSC's stored bytes, or
+  // Replicated's replica (the known dataset inflated by dark data).
+  double HeldBytes(const Shard& sh) const {
     if (sh.osc != nullptr) {
-      sh.osc_byte_ms += static_cast<double>(sh.osc->stored_bytes()) * dt;
+      return static_cast<double>(sh.osc->stored_bytes());
     }
     if (cfg_.approach == Approach::kReplicated) {
-      const double replica_bytes =
-          static_cast<double>(sh.known_dataset_bytes) / (1.0 - cfg_.dark_data_fraction);
-      sh.replica_byte_ms += replica_bytes * dt;
-      sh.churn_byte_ms += replica_bytes * dt;
+      return static_cast<double>(sh.known_dataset_bytes) / (1.0 - cfg_.dark_data_fraction);
     }
-    if (sh.cluster != nullptr) {
-      sh.node_ms += static_cast<double>(sh.cluster->num_nodes()) * dt;
-    }
-    sh.last_integrate = t;
+    return 0.0;
+  }
+  // Advances the shard's ledger integrals to `t`. Per request, so inline.
+  void Integrate(Shard& sh, SimTime t) {
+    sh.ledger.AdvanceTo(t, HeldBytes(sh), sh.cluster != nullptr ? sh.cluster->num_nodes() : 0);
   }
   // Shard `s`'s slice of `d`.
   ShardShare ShareFor(const ReconfigDecision& d, size_t s) const;
@@ -226,7 +212,9 @@ class ShardRuntime {
 
   const EngineConfig& cfg_;
   const SourceInfo& info_;
-  PriceBook prices_;
+  // The scaled-infra base book and the window-aligned price shocks. Shard
+  // ledgers bill against it; the controller sees the epoch in force.
+  const PriceSchedule schedule_;
   GroundTruthLatency truth_;
   FittedLatencyGenerator fitted_;
   int num_shards_;
@@ -237,10 +225,9 @@ class ShardRuntime {
   // in-flight batch replay, which needs the pool alive.
   std::unique_ptr<MacaronController> controller_;
 
-  // Elastic-cluster-cache parameters (DRAM for ECPC, NVMe for flash-ECPC);
-  // Macaron's own cluster uses the DRAM defaults.
+  // Elastic-cluster-cache node size (DRAM for ECPC, NVMe for flash-ECPC);
+  // Macaron's own cluster uses the DRAM default.
   uint64_t node_usable_ = 0;
-  double node_price_per_hour_ = 0.0;
 
  private:
   bool IsMacaronFamily() const;
@@ -249,15 +236,10 @@ class ShardRuntime {
   void WindowBoundary(SimTime t);
   void Finalize();
   void ChargeOscOps(Shard& sh);
-  // Price-shock support: bills a shard's price-sensitive integrals (and any
-  // pending OSC ops) at the currently active rates and resets them, then
-  // swaps the book. Only ever called at window boundaries (shards idle).
-  void FlushDataIntegrals(Shard& sh);
-  void ApplyPriceShocks(SimTime t);
-  // Cumulative data-path spend (egress + capacity + operations) through the
-  // last Integrate, unflushed integrals valued at the active rates; folded
-  // in fixed shard order on the calling thread.
-  double RealizedDataCostUsd() const;
+  // At a boundary where a price epoch starts: bills every shard's pending
+  // OSC ops and integrals at the outgoing book, then moves the ledgers and
+  // the controller to the new one.
+  void Reprice(SimTime t);
 
   RequestSource& source_;
   const char* name_suffix_;
@@ -268,12 +250,6 @@ class ShardRuntime {
   // segments.
   std::vector<uint32_t> shard_of_scratch_;
   std::vector<size_t> shard_cursor_scratch_;
-
-  // Repricing events, aligned to window boundaries and sorted by time;
-  // next_shock_ indexes the first not-yet-applied one. prices_ is only
-  // mutated at boundaries, when no shard worker is running.
-  std::vector<PriceShock> shocks_;
-  size_t next_shock_ = 0;
 };
 
 }  // namespace macaron

@@ -49,7 +49,10 @@ namespace sweep {
 // enable_priming.
 // v5: Oracular bills its keep schedule through the exact oracle's replay
 // (storage at each event's own size, so a PUT that resizes is billed).
-inline constexpr std::string_view kSweepVersionSalt = "macaron-sweep-v5";
+// v6: both oracles bill through pricing::Ledger (one storage integral term
+// per gap between events, not per window boundary), so their capacity and
+// mean stored bytes move in the last bits.
+inline constexpr std::string_view kSweepVersionSalt = "macaron-sweep-v6";
 
 struct Fingerprint {
   uint64_t hi = 0;

@@ -94,6 +94,11 @@ size_t SweepScheduler::Submit(SweepJobSpec spec) {
     throw std::invalid_argument(
         "sweep: oracle jobs need a materialized trace (streamed profiles are unbounded)");
   }
+  if (spec.engine == JobEngine::kOracle && !spec.config.price_shocks.empty()) {
+    throw std::invalid_argument(
+        "sweep: Oracular's break-even rule assumes one static price book (use the exact "
+        "oracle for price shocks)");
+  }
   Fingerprint trace_identity = spec.trace_identity;
   if (trace_identity.IsZero()) {
     if (spec.trace != nullptr) {

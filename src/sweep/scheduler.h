@@ -193,7 +193,8 @@ RunResult OracleToRunResult(const std::string& trace_name, const std::string& ap
 // same prices, seed, and (when measure_latency is set) the same fitted
 // latency generator construction as the engines. The exact oracle also
 // honors the window cadence and price shocks; Oracular's §5.4 rule is
-// defined on constant prices and ignores both.
+// defined on constant prices, so it runs on config.prices alone and
+// SweepScheduler::Submit rejects a kOracle job that carries shocks.
 ExactOracleResult RunOracleWithConfig(const Trace& trace, const EngineConfig& config,
                                       JobEngine engine);
 

@@ -108,9 +108,11 @@ void EncodeChunk(const std::vector<Request>& reqs, std::string* out) {
 
 // Decodes one chunk payload into ReplayBatch columns, computing the Mix64
 // ingest hash per record. False on any structural violation (short column,
-// trailing bytes, op out of range) — reachable only if a corrupt payload
-// also collides the chunk checksum.
-bool DecodeChunk(std::string_view payload, uint64_t count, ReplayBatch* out) {
+// trailing bytes, op out of range, a time outside the directory's
+// [min_time, max_time]) — reachable only if a corrupt payload also
+// collides the chunk checksum, or a crafted file rewrites both.
+bool DecodeChunk(std::string_view payload, uint64_t count, SimTime min_time,
+                 SimTime max_time, ReplayBatch* out) {
   out->Clear();
   if (count == 0) {
     return false;
@@ -123,13 +125,20 @@ bool DecodeChunk(std::string_view payload, uint64_t count, ReplayBatch* out) {
     return false;
   }
   SimTime t = UnZigZag(zz);
+  if (t < min_time || t > max_time) {
+    return false;
+  }
   out->times.push_back(t);
   for (uint64_t i = 1; i < count; ++i) {
     uint64_t delta = 0;
-    if (!ParseVarint(p, end, &delta)) {
+    // The step is bounded by the room left below max_time; both that room
+    // and the step itself are taken in unsigned arithmetic, where they are
+    // exact (t <= max_time), so no signed overflow is possible.
+    if (!ParseVarint(p, end, &delta) ||
+        delta > static_cast<uint64_t>(max_time) - static_cast<uint64_t>(t)) {
       return false;
     }
-    t += static_cast<SimTime>(delta);
+    t = static_cast<SimTime>(static_cast<uint64_t>(t) + delta);
     out->times.push_back(t);
   }
   for (uint64_t i = 0; i < count; ++i) {
@@ -418,6 +427,10 @@ std::unique_ptr<ColumnarTraceSource> ColumnarTraceSource::Open(const std::string
     if (m.bytes > kMaxChunkBytes || m.count == 0 || m.count > m.bytes) {
       return fail("implausible chunk extent");
     }
+    if (m.min_time > m.max_time ||
+        (!src->directory_.empty() && m.min_time < src->directory_.back().max_time)) {
+      return fail("chunk time range runs backwards");
+    }
     total_records += m.count;
     src->directory_.push_back(m);
   }
@@ -428,6 +441,13 @@ std::unique_ptr<ColumnarTraceSource> ColumnarTraceSource::Open(const std::string
   }
   if (num_requests != total_records) {
     return fail("record count does not match chunk directory");
+  }
+  // The trace span drives the engines' last boundary and every per-time
+  // average, so it must be exactly the directory's first and last time.
+  if (!src->directory_.empty() &&
+      (static_cast<SimTime>(start_t) != src->directory_.front().min_time ||
+       static_cast<SimTime>(end_t) != src->directory_.back().max_time)) {
+    return fail("trace span does not match chunk directory");
   }
   TraceStats& s = src->info_.stats;
   uint64_t f64 = 0;
@@ -481,7 +501,7 @@ bool ColumnarTraceSource::FillNext(ReplayBatch* out) {
     throw std::runtime_error("mctc: " + path_ + ": chunk " + std::to_string(next_chunk_) +
                              " checksum mismatch");
   }
-  if (!DecodeChunk(payload_, m.count, out)) {
+  if (!DecodeChunk(payload_, m.count, m.min_time, m.max_time, out)) {
     throw std::runtime_error("mctc: " + path_ + ": chunk " + std::to_string(next_chunk_) +
                              " decode failed");
   }

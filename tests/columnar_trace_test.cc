@@ -2,16 +2,21 @@
 // round trips (materialized and chunk-by-chunk against the in-memory
 // TraceSource adapter), footer-derived SourceInfo fidelity, the content
 // identity hash, and the rejection paths — foreign files, truncation, a
-// corrupt footer, and a corrupt chunk payload (which must throw at
-// FillNext, never replay silently).
+// corrupt footer, a corrupt chunk payload (which must throw at FillNext,
+// never replay silently), and crafted files whose checksums are valid but
+// whose time column runs backwards or overflows.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/cache/replay_batch.h"
 #include "src/common/hash.h"
@@ -290,6 +295,206 @@ TEST(ColumnarIoTest, CorruptChunkThrowsAtFillNext) {
   EXPECT_FALSE(ReadTraceColumnar(path, &back, &error));
   EXPECT_FALSE(error.empty());
   std::remove(path.c_str());
+}
+
+// --- Crafted files ---
+//
+// An MctcImage is a written file taken apart: the header, each chunk's
+// directory entry with its payload, the trace span, and the rest of the
+// footer. Assemble lays the chunks out again and recomputes every offset
+// and checksum, so a rewritten payload, directory bound or span still
+// passes the FNV checks and only the reader's own validation can catch it.
+
+uint64_t TestFnv1a(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h = (h ^ c) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+uint64_t U64At(const std::string& bytes, size_t at) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<unsigned char>(bytes[at + i])) << (8 * i);
+  }
+  return v;
+}
+
+void PutU64(std::string& out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+void PutVarint(std::string& out, uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<char>(v));
+}
+
+struct MctcImage {
+  struct Chunk {
+    uint64_t count = 0;
+    SimTime min_time = 0;
+    SimTime max_time = 0;
+    std::string payload;
+  };
+  std::string header;
+  std::vector<Chunk> chunks;
+  uint64_t num_requests = 0;
+  SimTime start_time = 0;
+  SimTime end_time = 0;
+  std::string footer_tail;  // the stats block and the name
+};
+
+constexpr size_t kTestHeaderBytes = 8;
+constexpr size_t kTestTrailerBytes = 24;
+constexpr size_t kTestDirEntryBytes = 48;
+
+MctcImage ParseImage(const std::string& bytes) {
+  MctcImage img;
+  img.header = bytes.substr(0, kTestHeaderBytes);
+  const size_t trailer = bytes.size() - kTestTrailerBytes;
+  const size_t footer = trailer - static_cast<size_t>(U64At(bytes, trailer));
+  const uint64_t chunk_count = U64At(bytes, footer);
+  size_t p = footer + 8;
+  for (uint64_t i = 0; i < chunk_count; ++i, p += kTestDirEntryBytes) {
+    MctcImage::Chunk c;
+    const size_t offset = static_cast<size_t>(U64At(bytes, p));
+    const size_t size = static_cast<size_t>(U64At(bytes, p + 8));
+    c.count = U64At(bytes, p + 16);
+    c.min_time = static_cast<SimTime>(U64At(bytes, p + 24));
+    c.max_time = static_cast<SimTime>(U64At(bytes, p + 32));
+    c.payload = bytes.substr(offset, size);
+    img.chunks.push_back(c);
+  }
+  img.num_requests = U64At(bytes, p);
+  img.start_time = static_cast<SimTime>(U64At(bytes, p + 8));
+  img.end_time = static_cast<SimTime>(U64At(bytes, p + 16));
+  img.footer_tail = bytes.substr(p + 24, trailer - p - 24);
+  return img;
+}
+
+std::string Assemble(const MctcImage& img) {
+  std::string out = img.header;
+  std::string footer;
+  PutU64(footer, img.chunks.size());
+  for (const MctcImage::Chunk& c : img.chunks) {
+    PutU64(footer, out.size());
+    PutU64(footer, c.payload.size());
+    PutU64(footer, c.count);
+    PutU64(footer, static_cast<uint64_t>(c.min_time));
+    PutU64(footer, static_cast<uint64_t>(c.max_time));
+    PutU64(footer, TestFnv1a(c.payload));
+    out += c.payload;
+  }
+  PutU64(footer, img.num_requests);
+  PutU64(footer, static_cast<uint64_t>(img.start_time));
+  PutU64(footer, static_cast<uint64_t>(img.end_time));
+  footer += img.footer_tail;
+  out += footer;
+  PutU64(out, footer.size());
+  PutU64(out, TestFnv1a(footer));
+  out.append("MCTCEND2", 8);
+  return out;
+}
+
+// A payload of `count` GETs of object 1 (1 byte each) whose time column is
+// `first` followed by `deltas` (zero-padded to count - 1 steps).
+std::string CraftedPayload(uint64_t count, SimTime first, const std::vector<uint64_t>& deltas) {
+  std::string out;
+  PutVarint(out, (static_cast<uint64_t>(first) << 1) ^ static_cast<uint64_t>(first >> 63));
+  for (uint64_t i = 1; i < count; ++i) {
+    PutVarint(out, i - 1 < deltas.size() ? deltas[i - 1] : 0);
+  }
+  for (uint64_t i = 0; i < count; ++i) {
+    PutVarint(out, 1);  // id
+  }
+  for (uint64_t i = 0; i < count; ++i) {
+    PutVarint(out, 1);  // size
+  }
+  out.append(static_cast<size_t>(count), static_cast<char>(Op::kGet));
+  return out;
+}
+
+TEST(ColumnarIoTest, ImageHelperReassemblesWrittenFileExactly) {
+  const Trace t = MakeTrace(2000);
+  const std::string path = TempPath("image.mctc");
+  ASSERT_TRUE(WriteTraceColumnar(t, path, nullptr, /*chunk_records=*/512));
+  const std::string bytes = ReadFileBytes(path);
+  const MctcImage img = ParseImage(bytes);
+  ASSERT_EQ(img.chunks.size(), 4u);
+  EXPECT_EQ(Assemble(img), bytes);
+  std::remove(path.c_str());
+}
+
+TEST(ColumnarIoTest, RejectsTimeRunningBackwards) {
+  constexpr SimTime kMaxTime = std::numeric_limits<SimTime>::max();
+  struct Row {
+    const char* name;
+    size_t records;  // of the written trace, in chunks of 512
+    std::function<void(MctcImage&)> craft;
+    bool caught_at_open;  // else at the first FillNext
+  };
+  const std::vector<Row> rows = {
+      {"min_after_max", 2000,
+       [](MctcImage& img) { img.chunks[0].min_time = img.chunks[0].max_time + 1; }, true},
+      {"overlaps_previous_chunk", 2000,
+       [](MctcImage& img) { img.chunks[1].min_time = img.chunks[0].max_time - 1; }, true},
+      {"decoded_above_max", 2000,
+       [](MctcImage& img) { img.chunks[0].max_time = img.chunks[0].min_time; }, false},
+      {"decoded_below_min", 2000,
+       [](MctcImage& img) {
+         img.chunks[0].min_time += 1;
+         img.start_time = img.chunks[0].min_time;
+       },
+       false},
+      {"delta_wraps_backwards", 64,
+       [&](MctcImage& img) {
+         MctcImage::Chunk& c = img.chunks[0];
+         c.payload = CraftedPayload(c.count, 10, {~uint64_t{0}});  // 10 + (2^64 - 1)
+         c.min_time = img.start_time = 0;
+         c.max_time = img.end_time = kMaxTime;
+       },
+       false},
+      {"span_ends_before_last_chunk", 2000,
+       [](MctcImage& img) { img.end_time = img.chunks.back().max_time / 4; }, true},
+      {"delta_overflows", 64,
+       [&](MctcImage& img) {
+         MctcImage::Chunk& c = img.chunks[0];
+         c.payload = CraftedPayload(c.count, 10, {static_cast<uint64_t>(kMaxTime)});
+         c.min_time = img.start_time = 0;
+         c.max_time = img.end_time = kMaxTime;
+       },
+       false},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    const Trace t = MakeTrace(row.records);
+    const std::string path = TempPath("crafted.mctc");
+    ASSERT_TRUE(WriteTraceColumnar(t, path, nullptr, /*chunk_records=*/512));
+    MctcImage img = ParseImage(ReadFileBytes(path));
+    row.craft(img);
+    WriteFileBytes(path, Assemble(img));
+    std::string error;
+    auto source = ColumnarTraceSource::Open(path, &error);
+    if (row.caught_at_open) {
+      EXPECT_EQ(source, nullptr);
+      EXPECT_EQ(error.rfind("mctc: ", 0), 0u) << error;
+    } else {
+      ASSERT_NE(source, nullptr) << error;
+      ReplayBatch chunk;
+      EXPECT_THROW(source->FillNext(&chunk), std::runtime_error);
+    }
+    Trace back;
+    error.clear();
+    EXPECT_FALSE(ReadTraceColumnar(path, &back, &error));
+    EXPECT_EQ(error.rfind("mctc: ", 0), 0u) << error;
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -627,6 +627,41 @@ TEST(ExactOracleTest, WindowTimelineAndOracleCostAt) {
   EXPECT_NEAR(OracleCostAt(r, 2 * kHour), r.costs.Total(), 1e-12);
 }
 
+TEST(ExactOracleTest, CapacityIndependentOfReportingWindow) {
+  // Without shocks the window only sets the timeline cadence, so it must not
+  // move a dollar: random sparse traces (40 events over 4 objects, 1-6 MB,
+  // gaps up to 30 days) bill bit-identical storage at a 15-minute window and
+  // at one window longer than the whole trace.
+  const PriceBook book = OpFree(CrossCloud());
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    Trace t;
+    SimTime time = 0;
+    for (int i = 0; i < 40; ++i) {
+      time += static_cast<SimTime>(rng.NextBounded(30 * kDay));
+      Request r;
+      r.time = time;
+      r.id = 1 + rng.NextBounded(4);
+      r.size = 1'000'000 + rng.NextBounded(5'000'001);
+      const uint64_t p = rng.NextBounded(20);
+      r.op = p < 12 ? Op::kGet : (p < 17 ? Op::kPut : Op::kDelete);
+      t.requests.push_back(r);
+    }
+    ExactOracleOptions fine;
+    fine.window = 15 * kMinute;
+    ExactOracleOptions whole;
+    whole.window = t.duration() + 1;
+    const ExactOracleResult a = RunExactOracle(t, book, fine);
+    const ExactOracleResult b = RunExactOracle(t, book, whole);
+    ASSERT_GT(a.window_cost_timeline.size(), b.window_cost_timeline.size());
+    EXPECT_EQ(a.osc_hits, b.osc_hits) << "seed " << seed;
+    EXPECT_EQ(a.costs.Get(CostCategory::kCapacity), b.costs.Get(CostCategory::kCapacity))
+        << "seed " << seed;
+    EXPECT_EQ(a.mean_stored_bytes, b.mean_stored_bytes) << "seed " << seed;
+    EXPECT_EQ(a.costs.Total(), b.costs.Total()) << "seed " << seed;
+  }
+}
+
 TEST(ExactOracleTest, AnnotateRegretFillsRecords) {
   ExactOracleResult oracle;
   oracle.window_cost_timeline = {{100, 1.0}, {200, 2.5}};

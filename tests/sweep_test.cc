@@ -308,6 +308,29 @@ TEST(SweepSchedulerTest, OracleJobMatchesDirectRun) {
   EXPECT_EQ(SerializeRunResult(sched.Result(id)), SerializeRunResult(direct));
 }
 
+TEST(SweepSchedulerTest, RejectsShockedOracularJob) {
+  // Oracular's break-even rule assumes one static book: a shocked kOracle
+  // job would be keyed with the shocks but report unshocked dollars.
+  auto trace = std::make_shared<const Trace>(SmallTrace("oracle-shock", 17));
+  sweep::SweepScheduler::Options opt;
+  opt.threads = 1;
+  sweep::SweepScheduler sched(std::move(opt));
+  sweep::SweepJobSpec spec;
+  spec.trace = trace;
+  spec.trace_name = trace->name;
+  spec.config = SmallConfig(Approach::kRemote);
+  PriceShock shock;
+  shock.at = trace->end_time() / 2;
+  shock.egress_scale = 2.0;
+  spec.config.price_shocks = {shock};
+  spec.engine = sweep::JobEngine::kOracle;
+  EXPECT_THROW(sched.Submit(spec), std::invalid_argument);
+  // The exact oracle honors shocks, so the same job is accepted there.
+  spec.engine = sweep::JobEngine::kExactOracle;
+  const size_t id = sched.Submit(spec);
+  EXPECT_GT(sched.Result(id).costs.Total(), 0.0);
+}
+
 TEST(SweepSchedulerTest, RejectsUnresolvableSpecs) {
   sweep::SweepScheduler::Options opt;
   opt.threads = 1;
@@ -414,8 +437,11 @@ TEST(HashOncePipelineTest, BothEnginesByteStableAcrossRuns) {
 // drain and honors enable_priming, which changes cached event-engine results.
 // v4 -> v5 was: Oracular bills its keep schedule through the exact oracle's
 // replay, which changes cached Oracular results.
+// v5 -> v6 was: both oracles bill through pricing::Ledger, whose storage
+// integral takes no term at window boundaries, so cached oracle capacity and
+// mean stored bytes move in the last bits.
 TEST(HashOncePipelineTest, SweepVersionSaltDeliberate) {
-  EXPECT_EQ(sweep::kSweepVersionSalt, "macaron-sweep-v5");
+  EXPECT_EQ(sweep::kSweepVersionSalt, "macaron-sweep-v6");
 }
 
 TEST(ResultStoreTest, DisabledStoreIsInert) {
