@@ -18,8 +18,10 @@
 //                    or .macaron-results; "off" disables)
 //   --cold           delete cached .run results first (forces simulation)
 //   --only S         run only figures whose name contains S (repeatable)
-//   --json PATH      per-figure wall-clock + scheduler stats
-//                    (default BENCH_sweep.json; "off" disables)
+//   --json PATH      write per-figure wall-clock + scheduler stats to PATH
+//                    (default: no report; "off" also writes none). The
+//                    committed BENCH_sweep.json baseline is re-recorded only
+//                    by asking for it: --json BENCH_sweep.json
 //   --metrics        write per-job decision traces + metrics registries
 //                    (JSONL/JSON under --metrics-dir; stderr-only reporting,
 //                    figure stdout stays byte-identical)
@@ -225,7 +227,7 @@ int main(int argc, char** argv) {
   bool list = false;
   bool metrics = false;
   std::string metrics_dir = ".macaron-metrics";
-  std::string json_path = "BENCH_sweep.json";
+  std::string json_path;
   std::string compare_path;
   double compare_threshold = 15.0;
   std::vector<std::string> only;

@@ -630,6 +630,45 @@ void BM_TraceStreamDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceStreamDecode)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+// Stream set-up cost. One iteration constructs a serve_dense-shaped
+// SyntheticStreamSource: 2*10^6 requests over 2 days, 2^17 objects with
+// lognormal sizes, Zipf 0.9, 10% PUTs — the exact-statistics pre-pass every
+// engine run on a stream pays before its first request. Counters: fill_s is
+// one untimed FillNext pass over the same stream (generation + prehash),
+// and setup_over_fill is the pre-pass in units of that pass.
+void BM_StreamSourceSetup(benchmark::State& state) {
+  StreamProfile p;
+  p.name = "bm_setup";
+  p.num_requests = 2'000'000;
+  p.population = 1ull << 17;
+  p.zipf_alpha = 0.9;
+  p.duration = 2 * kDay;
+  p.mean_object_bytes = 1ull << 20;
+  p.put_fraction = 0.1;
+  p.seed = 1;
+  std::unique_ptr<SyntheticStreamSource> source;
+  double setup_s = 0.0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    source = std::make_unique<SyntheticStreamSource>(p);
+    setup_s += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    benchmark::DoNotOptimize(source->Info().stats.unique_objects);
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  ReplayBatch chunk;
+  uint64_t sum = 0;
+  while (source->FillNext(&chunk)) {
+    sum += chunk.hashes.back();
+  }
+  benchmark::DoNotOptimize(sum);
+  const double fill_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  state.counters["fill_s"] = fill_s;
+  state.counters["setup_over_fill"] = setup_s / static_cast<double>(state.iterations()) / fill_s;
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(p.num_requests));
+}
+BENCHMARK(BM_StreamSourceSetup)->Unit(benchmark::kMillisecond);
+
 // End-to-end streamed replay from the columnar file, decode-ahead off
 // (Arg 0) vs on (Arg 1). The spread is what overlapping chunk N+1's decode
 // with chunk N's replay buys; compare against BM_EngineReplayMacaron for

@@ -1,6 +1,8 @@
 #include "src/trace/request_source.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "src/common/hash.h"
 
@@ -12,7 +14,20 @@ SourceInfo MakeSourceInfo(const Trace& trace) {
   info.num_requests = trace.size();
   info.start_time = trace.start_time();
   info.end_time = trace.end_time();
-  info.stats = ComputeStats(trace);
+  // The stats walk doubles as the time-order check every other ingest path
+  // (CSV, MCTC) makes: an unsorted trace would replay with windows and
+  // TTLs running backwards.
+  TraceStatsBuilder stats;
+  for (size_t i = 0; i < trace.requests.size(); ++i) {
+    if (i > 0 && trace.requests[i].time < trace.requests[i - 1].time) {
+      throw std::invalid_argument("trace '" + trace.name +
+                                  "': requests must be time-ordered (time went backwards at "
+                                  "index " +
+                                  std::to_string(i) + ")");
+    }
+    stats.Add(trace.requests[i]);
+  }
+  info.stats = stats.Finish();
   return info;
 }
 

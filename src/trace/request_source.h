@@ -70,7 +70,9 @@ class RequestSource {
 };
 
 // Adapter over a materialized in-memory trace. Decode is a column copy plus
-// the Mix64 prehash per record. The trace must outlive the source.
+// the Mix64 prehash per record. The trace must outlive the source. Throws
+// std::invalid_argument, naming the first offending index, if the trace is
+// not time-ordered.
 class TraceSource : public RequestSource {
  public:
   explicit TraceSource(const Trace& trace, size_t chunk_records = kDefaultChunkRecords);
@@ -86,7 +88,9 @@ class TraceSource : public RequestSource {
   size_t pos_ = 0;
 };
 
-// Computes a SourceInfo from a materialized trace (one stats pass).
+// Computes a SourceInfo from a materialized trace (one stats pass). Throws
+// std::invalid_argument at the first request whose time is lower than the
+// one before it.
 SourceInfo MakeSourceInfo(const Trace& trace);
 
 // Double-buffered decode-ahead over a RequestSource.

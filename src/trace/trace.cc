@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <unordered_map>
+
+#include "src/common/hash.h"
 
 namespace macaron {
 
@@ -31,25 +32,19 @@ bool Trace::IsSorted() const {
 
 namespace {
 
-// Fits the Zipf exponent by least squares on log(frequency) vs log(rank),
-// using objects with at least 2 accesses (singletons flatten the tail and
-// are dominated by compulsory structure, not popularity skew).
-double FitZipfAlpha(const std::unordered_map<ObjectId, uint64_t>& freq) {
-  std::vector<uint64_t> counts;
-  counts.reserve(freq.size());
-  for (const auto& [id, c] : freq) {
-    counts.push_back(c);
-  }
-  std::sort(counts.begin(), counts.end(), std::greater<>());
+// Fits the Zipf exponent by least squares on log(frequency) vs log(rank).
+// [first, last) holds the id cells of the objects with at least 2 GETs
+// (singletons flatten the tail and are dominated by compulsory structure,
+// not popularity skew) in descending count order; a cell's count is 1 + the
+// object's GET count.
+template <typename Cell>
+double FitZipfAlpha(const Cell* first, const Cell* last) {
   // Regression over the head of the distribution.
   double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
   size_t n = 0;
-  for (size_t rank = 0; rank < counts.size(); ++rank) {
-    if (counts[rank] < 2) {
-      break;
-    }
-    const double x = std::log(static_cast<double>(rank + 1));
-    const double y = std::log(static_cast<double>(counts[rank]));
+  for (const Cell* c = first; c != last; ++c) {
+    const double x = std::log(static_cast<double>(n + 1));
+    const double y = std::log(static_cast<double>(c->count - 1));
     sx += x;
     sy += y;
     sxx += x * x;
@@ -70,6 +65,54 @@ double FitZipfAlpha(const std::unordered_map<ObjectId, uint64_t>& freq) {
 
 }  // namespace
 
+uint64_t& TraceStatsBuilder::CountTable::Insert(uint64_t key, bool* inserted) {
+  if (2 * (used_ + 1) > cells_.size()) {
+    Grow();
+  }
+  const size_t mask = cells_.size() - 1;
+  for (size_t i = Mix64(key) & mask;; i = (i + 1) & mask) {
+    Cell& c = cells_[i];
+    if (c.count == 0) {
+      c.key = key;
+      c.count = 1;
+      ++used_;
+      *inserted = true;
+      return c.count;
+    }
+    if (c.key == key) {
+      *inserted = false;
+      return c.count;
+    }
+  }
+}
+
+void TraceStatsBuilder::CountTable::Grow() {
+  // Start at one page; double from there.
+  constexpr size_t kPageCells = 4096 / sizeof(Cell);
+  std::vector<Cell, PageAllocator<Cell>> old(std::max(kPageCells, 2 * cells_.size()));
+  old.swap(cells_);
+  const size_t mask = cells_.size() - 1;
+  for (const Cell& c : old) {
+    if (c.count != 0) {
+      size_t i = Mix64(c.key) & mask;
+      while (cells_[i].count != 0) {
+        i = (i + 1) & mask;
+      }
+      cells_[i] = c;
+    }
+  }
+}
+
+size_t TraceStatsBuilder::CountTable::Compact() {
+  size_t n = 0;
+  for (const Cell& c : cells_) {
+    if (c.count != 0) {
+      cells_[n++] = c;
+    }
+  }
+  return n;
+}
+
 void TraceStatsBuilder::Add(const Request& r) {
   if (!any_) {
     first_time_ = r.time;
@@ -77,23 +120,23 @@ void TraceStatsBuilder::Add(const Request& r) {
   }
   last_time_ = r.time;
   ++s_.num_requests;
-  ++size_counts_[r.size];
+  bool inserted;
+  ++sizes_.Insert(r.size, &inserted);
   switch (r.op) {
     case Op::kGet: {
       ++s_.num_gets;
       s_.get_bytes += r.size;
-      auto [it, inserted] = sizes_.try_emplace(r.id, r.size);
+      ++ids_.Insert(r.id, &inserted);
       if (inserted) {
         s_.unique_bytes += r.size;
         s_.unique_get_bytes += r.size;
       }
-      get_freq_[r.id]++;
       break;
     }
     case Op::kPut: {
       ++s_.num_puts;
       s_.put_bytes += r.size;
-      auto [it, inserted] = sizes_.try_emplace(r.id, r.size);
+      ids_.Insert(r.id, &inserted);
       if (inserted) {
         s_.unique_bytes += r.size;
       }
@@ -105,26 +148,34 @@ void TraceStatsBuilder::Add(const Request& r) {
   }
 }
 
-TraceStats TraceStatsBuilder::Finish() const {
+TraceStats TraceStatsBuilder::Finish() {
+  using Cell = CountTable::Cell;
   TraceStats s = s_;
-  s.unique_objects = sizes_.size();
+  s.unique_objects = ids_.size();
   s.compulsory_miss_ratio =
       s.get_bytes == 0 ? 0.0
                        : static_cast<double>(s.unique_get_bytes) / static_cast<double>(s.get_bytes);
-  s.zipf_alpha = FitZipfAlpha(get_freq_);
+  Cell* const ids = ids_.cells();
+  Cell* const fit_end = std::partition(ids, ids + ids_.Compact(),
+                                       [](const Cell& c) { return c.count - 1 >= 2; });
+  std::sort(ids, fit_end, [](const Cell& a, const Cell& b) { return a.count > b.count; });
+  s.zipf_alpha = FitZipfAlpha(ids, fit_end);
   const SimDuration span = last_time_ - first_time_;
   s.mean_request_rate =
       span <= 0 ? 0.0 : static_cast<double>(s.num_requests) / DurationSeconds(span);
   if (s.num_requests > 0) {
     // The mid-th order statistic of the full size sequence, read off the
-    // ordered size -> count histogram (identical to nth_element on a vector
+    // size histogram sorted by size (identical to nth_element on a vector
     // of every request's size, without materializing that vector).
+    Cell* const sizes = sizes_.cells();
+    const size_t distinct = sizes_.Compact();
+    std::sort(sizes, sizes + distinct, [](const Cell& a, const Cell& b) { return a.key < b.key; });
     const uint64_t mid = s.num_requests / 2;
     uint64_t cum = 0;
-    for (const auto& [size, count] : size_counts_) {
-      cum += count;
+    for (size_t i = 0; i < distinct; ++i) {
+      cum += sizes[i].count - 1;
       if (cum > mid) {
-        s.median_object_bytes = size;
+        s.median_object_bytes = sizes[i].key;
         break;
       }
     }

@@ -4,11 +4,10 @@
 #define MACARON_SRC_TRACE_TRACE_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/page_allocator.h"
 #include "src/trace/request.h"
 
 namespace macaron {
@@ -54,21 +53,54 @@ TraceStats ComputeStats(const Trace& trace);
 // TraceStats to ComputeStats over the same request sequence, but never
 // needs the trace materialized — the out-of-core sources (columnar reader,
 // synthetic stream generator) run their stats pre-pass through this.
+//
 // Memory is O(unique objects + distinct sizes), independent of trace
-// length; the median is exact, taken from an ordered size -> count map
-// instead of an all-sizes vector.
+// length, in two flat open-addressing tables: object id -> GET count
+// (presence alone marks a first touch) and request size -> count (the exact
+// median's histogram). Each Add costs one probe of the size table, plus one
+// of the id table for a GET or PUT. Finish compacts each table in place and
+// sorts it once: the id counts for the Zipf fit, the sizes for the median.
+// Both tables sit on pages mapped straight from the kernel (PageAllocator),
+// so building stats does not move malloc's mmap threshold under the run
+// that follows.
 class TraceStatsBuilder {
  public:
   void Add(const Request& r);
   // Derived fields use the observed [first, last] request-time span, the
-  // same span Trace::duration() yields on a sorted trace.
-  TraceStats Finish() const;
+  // same span Trace::duration() yields on a sorted trace. Finish reorders
+  // the tables in place, so it ends the builder: call it once, last.
+  TraceStats Finish();
 
  private:
+  // Linear-probing uint64 key -> count table. A cell holds 1 + the key's
+  // tally, so 0 marks an empty cell and every key (0 and ~0 included) is
+  // storable. Capacity is a power of two, at most half full.
+  class CountTable {
+   public:
+    struct Cell {
+      uint64_t key;
+      uint64_t count;
+    };
+
+    // The count cell of `key`, set to 1 (an empty tally) when the key is
+    // new; *inserted says which. Valid until the next Insert.
+    uint64_t& Insert(uint64_t key, bool* inserted);
+    size_t size() const { return used_; }
+    // Moves the occupied cells to the front, in table order, and returns
+    // how many there are. The table is no longer searchable afterwards.
+    size_t Compact();
+    Cell* cells() { return cells_.data(); }
+
+   private:
+    void Grow();
+
+    std::vector<Cell, PageAllocator<Cell>> cells_;
+    size_t used_ = 0;
+  };
+
   TraceStats s_;
-  std::unordered_map<ObjectId, uint64_t> sizes_;
-  std::unordered_map<ObjectId, uint64_t> get_freq_;
-  std::map<uint64_t, uint64_t> size_counts_;
+  CountTable ids_;    // object id -> 1 + GET count
+  CountTable sizes_;  // request size -> 1 + requests of that size
   SimTime first_time_ = 0;
   SimTime last_time_ = 0;
   bool any_ = false;
