@@ -1,16 +1,17 @@
 // Prototype-fidelity event engine.
 //
 // The paper validates its simulator against the AWS prototype (Table 3,
-// §7.7). We reproduce that methodology with a second, independent execution
-// engine over the same component logic, differing where a real deployment
-// differs from an instantaneous replay:
+// §7.7). We reproduce that methodology by running the replay engine's
+// sharded runtime under the prototype preset (shard_runtime.cc), which
+// differs where a real deployment differs from an instantaneous replay:
 //
 //   * remote fetches complete asynchronously: cache admission (OSC packing,
 //     cluster insert) happens at fetch *completion*, not at request arrival;
 //   * reconfiguration takes time: capacity changes and cluster scaling are
 //     applied only after the modeled end-to-end reconfiguration delay, while
 //     requests continue to be served;
-//   * every client request pays an extra cache-engine network hop.
+//   * every client request pays an extra cache-engine network hop;
+//   * the largest mini-cache is the data-set size, without headroom.
 //
 // Costs and hit distributions should track the replay engine closely (the
 // paper saw <= 0.17% cost and 4-7.6% latency gaps).
