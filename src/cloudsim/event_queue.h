@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "src/common/sim_time.h"
@@ -33,7 +32,7 @@ class EventQueue {
   size_t size() const { return heap_.size(); }
   SimTime now() const { return now_; }
   // Time of the earliest pending event; only valid when !empty().
-  SimTime PeekTime() const { return heap_.top().time; }
+  SimTime PeekTime() const { return heap_.front().time; }
 
  private:
   struct Event {
@@ -48,7 +47,10 @@ class EventQueue {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
+  // A binary min-heap under std::push_heap/pop_heap with std::greater, so
+  // RunNext can move the earliest event out instead of copying its
+  // callback.
+  std::vector<Event> heap_;
   uint64_t next_seq_ = 0;
   SimTime now_ = 0;
 };
