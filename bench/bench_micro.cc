@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -841,9 +840,10 @@ BENCHMARK(BM_SweepDedupLookup);
 }  // namespace
 }  // namespace macaron
 
-// Like BENCHMARK_MAIN(), but defaults to writing a JSON report
-// (BENCH_micro.json in the working directory) so CI and the driver always
-// get machine-readable results; any explicit --benchmark_out* flag wins.
+// Like BENCHMARK_MAIN(), plus build context in the report. A report is
+// written only on request, so a casual run can never replace the committed
+// baseline; re-record it with
+//   bench_micro --benchmark_out=BENCH_micro.json --benchmark_out_format=json
 //
 // The report's "library_build_type" describes the preinstalled
 // google-benchmark library, NOT this binary — a Release build of ours still
@@ -860,22 +860,8 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("nproc",
                               std::to_string(macaron::ThreadPool::HardwareConcurrency()));
   macaron::bench::WarnIfUnoptimizedBuild("bench_micro");
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--benchmark_out", 15) == 0) {
-      has_out = true;
-    }
-  }
-  static std::string out_flag = "--benchmark_out=BENCH_micro.json";
-  static std::string fmt_flag = "--benchmark_out_format=json";
-  if (!has_out) {
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int argc2 = static_cast<int>(args.size());
-  benchmark::Initialize(&argc2, args.data());
-  if (benchmark::ReportUnrecognizedArguments(argc2, args.data())) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
   benchmark::RunSpecifiedBenchmarks();
