@@ -190,17 +190,17 @@ AnalyzerReport WorkloadAnalyzer::EndWindow(SimDuration elapsed) {
     report.ttl_curves_latest = std::move(ttl);
   }
 
-  // Serverless accounting: each mini-cache runs as a Lambda over the sampled
-  // window stream; wall time is the slowest (they run in parallel), billed
-  // GB-seconds sum over all of them. The model counts the capacity bank's
-  // num_minicaches functions even in TTL-only mode, where the analyzer no
-  // longer replays them (a deliberate, byte-preserving divergence; see
-  // DESIGN.md "Analyzer pipeline").
+  // Serverless accounting: each mini-cache the analyzer runs is a Lambda
+  // over the sampled window stream; wall time is the slowest (they run in
+  // parallel), billed GB-seconds sum over all of them.
   const double sampled =
       static_cast<double>(report.window_requests) * config_.sampling_ratio;
   const double per_function_seconds =
       config_.lambda_base_seconds + config_.lambda_seconds_per_request * sampled;
-  int functions = config_.num_minicaches;
+  int functions = 0;
+  if (mrc_bank_ != nullptr) {
+    functions += config_.num_minicaches;
+  }
   if (alc_bank_ != nullptr) {
     functions += config_.num_minicaches;
   }

@@ -52,7 +52,9 @@ namespace sweep {
 // v6: both oracles bill through pricing::Ledger (one storage integral term
 // per gap between events, not per window boundary), so their capacity and
 // mean stored bytes move in the last bits.
-inline constexpr std::string_view kSweepVersionSalt = "macaron-sweep-v6";
+// v7: a TTL-only analyzer bills serverless time only for the TTL functions
+// it runs, not for num_minicaches capacity mini-caches it no longer replays.
+inline constexpr std::string_view kSweepVersionSalt = "macaron-sweep-v7";
 
 struct Fingerprint {
   uint64_t hi = 0;

@@ -440,8 +440,11 @@ TEST(HashOncePipelineTest, BothEnginesByteStableAcrossRuns) {
 // v5 -> v6 was: both oracles bill through pricing::Ledger, whose storage
 // integral takes no term at window boundaries, so cached oracle capacity and
 // mean stored bytes move in the last bits.
+// v6 -> v7 was: a TTL-only analyzer no longer bills serverless time for the
+// num_minicaches capacity mini-caches it does not run, so cached Macaron-TTL
+// serverless dollars move.
 TEST(HashOncePipelineTest, SweepVersionSaltDeliberate) {
-  EXPECT_EQ(sweep::kSweepVersionSalt, "macaron-sweep-v6");
+  EXPECT_EQ(sweep::kSweepVersionSalt, "macaron-sweep-v7");
 }
 
 TEST(ResultStoreTest, DisabledStoreIsInert) {
