@@ -76,5 +76,3 @@ int RunAblationAdmissionBypass() {
               "caching cannot pay, moving Macaron toward Remote-plus-VM.\n");
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunAblationAdmissionBypass)

@@ -58,5 +58,3 @@ int RunAblationEvictionPolicy() {
               worst_spread * 100);
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunAblationEvictionPolicy)

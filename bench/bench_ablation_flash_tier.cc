@@ -50,5 +50,3 @@ int RunAblationFlashTier() {
               "paper's note that flash is a promising future extension.\n");
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunAblationFlashTier)

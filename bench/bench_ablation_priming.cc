@@ -81,5 +81,3 @@ int RunAblationPriming() {
   ScaleOutMicrobench();
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunAblationPriming)

@@ -6,18 +6,19 @@
 // (e.g. the default Macaron run appears in Fig 1, Fig 7, §5.3, §7.7), and
 // memoizes results into the persistent cache — a warm rerun does no
 // simulation work at all. Figure output is printed in canonical order and
-// is bit-identical to running the standalone binaries serially.
+// is bit-identical to running the figures one at a time (--only NAME).
 //
 // Usage:
 //   bench_all [--threads N] [--cache-dir DIR] [--cold] [--only SUBSTR]
 //             [--json PATH] [--metrics] [--metrics-dir DIR] [--list]
 //             [--compare BASELINE.json] [--compare-threshold PCT]
 //
-//   --threads N      worker threads (default: MACARON_SWEEP_THREADS or cores)
-//   --cache-dir D    persistent result cache (default: MACARON_RESULT_CACHE
-//                    or .macaron-results; "off" disables)
+//   --threads N      worker threads, N >= 1 (default: hardware cores)
+//   --cache-dir D    persistent result cache (default .macaron-results;
+//                    "off" or "0" disables)
 //   --cold           delete cached .run results first (forces simulation)
-//   --only S         run only figures whose name contains S (repeatable)
+//   --only S         run only figures whose name contains S (repeatable;
+//                    a pattern that matches no figure is an error)
 //   --json PATH      write per-figure wall-clock + scheduler stats to PATH
 //                    (default: no report; "off" also writes none). The
 //                    committed BENCH_sweep.json baseline is re-recorded only
@@ -40,27 +41,94 @@
 //                    15; small figures additionally get a 50 ms floor so
 //                    scheduler jitter does not trip the gate)
 //
+// A malformed number, a thread count below 1 or an --only pattern that
+// names no figure exits 2 before any figure runs.
+//
 // Only simulated jobs emit traces: a result served from a warm cache ran no
 // controller, so --metrics over a warm store writes nothing. Combine with
 // --cold to trace every job.
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <utility>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
-#include "bench/suite.h"
 #include "src/cache/simd.h"
 #include "src/common/thread_pool.h"
+
+// The per-figure entry points, one per figure source.
+int RunTable1Pricing();
+int RunTable2Traces();
+int RunFig1TotalCost();
+int RunFig4Curves();
+int RunFig5AlcAccuracy();
+int RunFig7CostBreakdown();
+int RunFig8Adaptivity();
+int RunFig9OscCapacity();
+int RunFig10CostCurves();
+int RunFig11Latency();
+int RunFig12aEgressSensitivity();
+int RunFig12bDarkData();
+int RunFig13Ttl();
+int RunTable3Validation();
+int RunFig15LatencyGenerator();
+int RunSec52MinisimAccuracy();
+int RunSec53Observation();
+int RunSec73ReconfigWindow();
+int RunSec74Packing();
+int RunSec77Overhead();
+int RunAblationEvictionPolicy();
+int RunAblationFlashTier();
+int RunAblationAdmissionBypass();
+int RunAblationPriming();
+int RunRegretEconomics();
 
 using namespace macaron;
 
 namespace {
+
+struct Figure {
+  const char* name;  // short id for --only and --list
+  const char* ref;   // paper figure/table reference
+  int (*fn)();
+};
+
+// All figures in canonical (paper) order.
+constexpr Figure kFigures[] = {
+    {"table1_pricing", "Table 1", &RunTable1Pricing},
+    {"table2_traces", "Table 2", &RunTable2Traces},
+    {"fig1_total_cost", "Fig 1b", &RunFig1TotalCost},
+    {"fig4_curves", "Fig 4", &RunFig4Curves},
+    {"fig5_alc_accuracy", "Fig 5", &RunFig5AlcAccuracy},
+    {"fig7_cost_breakdown", "Fig 7 / Fig 14", &RunFig7CostBreakdown},
+    {"fig8_adaptivity", "Fig 8", &RunFig8Adaptivity},
+    {"fig9_osc_capacity", "Fig 9", &RunFig9OscCapacity},
+    {"fig10_cost_curves", "Fig 10", &RunFig10CostCurves},
+    {"fig11_latency", "Fig 11", &RunFig11Latency},
+    {"fig12a_egress_sensitivity", "Fig 12a", &RunFig12aEgressSensitivity},
+    {"fig12b_dark_data", "Fig 12b", &RunFig12bDarkData},
+    {"fig13_ttl", "Fig 13", &RunFig13Ttl},
+    {"table3_validation", "Table 3", &RunTable3Validation},
+    {"fig15_latency_generator", "Fig 15", &RunFig15LatencyGenerator},
+    {"sec52_minisim_accuracy", "S5.2", &RunSec52MinisimAccuracy},
+    {"sec53_observation", "S5.3", &RunSec53Observation},
+    {"sec73_reconfig_window", "S7.3", &RunSec73ReconfigWindow},
+    {"sec74_packing", "S7.4", &RunSec74Packing},
+    {"sec77_overhead", "S7.7", &RunSec77Overhead},
+    {"ablation_eviction_policy", "S4.2/S8", &RunAblationEvictionPolicy},
+    {"ablation_flash_tier", "S4.1", &RunAblationFlashTier},
+    {"ablation_admission_bypass", "ext", &RunAblationAdmissionBypass},
+    {"ablation_priming", "S6.2", &RunAblationPriming},
+    {"regret_economics", "S5.4 ext", &RunRegretEconomics},
+};
 
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -216,13 +284,31 @@ int CompareWithBaseline(const Baseline& base, double threshold_pct,
   return regressions;
 }
 
+// The whole of `v` as a T; exits 2 on an empty value, trailing garbage or
+// a value out of T's range.
+template <typename T>
+T ParseNumber(const char* flag, const std::string& v) {
+  T out{};
+  const char* end = v.data() + v.size();
+  const auto [stop, ec] = std::from_chars(v.data(), end, out);
+  if (v.empty() || ec != std::errc() || stop != end) {
+    std::fprintf(stderr, "bench_all: %s '%s' is not a valid number\n", flag, v.c_str());
+    std::exit(2);
+  }
+  return out;
+}
+
+// --only selects figures whose name contains the pattern.
+bool Matches(const Figure& f, const std::string& pattern) {
+  return std::strstr(f.name, pattern.c_str()) != nullptr;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   macaron::bench::WarnIfUnoptimizedBuild("bench_all");
-  int threads = -1;
-  std::string cache_dir;
-  bool cache_dir_set = false;
+  int threads = ThreadPool::HardwareConcurrency();
+  std::string cache_dir = ".macaron-results";
   bool cold = false;
   bool list = false;
   bool metrics = false;
@@ -252,10 +338,13 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--threads") {
-      threads = std::atoi(next("--threads").c_str());
+      threads = ParseNumber<int>("--threads", next("--threads"));
+      if (threads < 1) {
+        std::fprintf(stderr, "bench_all: --threads must be at least 1\n");
+        return 2;
+      }
     } else if (arg == "--cache-dir") {
       cache_dir = next("--cache-dir");
-      cache_dir_set = true;
     } else if (arg == "--cold") {
       cold = true;
     } else if (arg == "--only") {
@@ -265,7 +354,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--compare") {
       compare_path = next("--compare");
     } else if (arg == "--compare-threshold") {
-      compare_threshold = std::atof(next("--compare-threshold").c_str());
+      compare_threshold = ParseNumber<double>("--compare-threshold", next("--compare-threshold"));
+      if (!(compare_threshold >= 0.0)) {
+        std::fprintf(stderr, "bench_all: --compare-threshold must be non-negative\n");
+        return 2;
+      }
     } else if (arg == "--metrics") {
       metrics = true;
     } else if (arg == "--metrics-dir") {
@@ -279,57 +372,47 @@ int main(int argc, char** argv) {
     }
   }
 
+  for (const std::string& pat : only) {
+    if (std::none_of(std::begin(kFigures), std::end(kFigures),
+                     [&](const Figure& f) { return Matches(f, pat); })) {
+      std::fprintf(stderr, "bench_all: --only %s matches no figure (see --list)\n", pat.c_str());
+      return 2;
+    }
+  }
+
   if (list) {
-    for (const bench::SuiteEntry& e : bench::Suite()) {
-      std::printf("%-28s %s\n", e.name.c_str(), e.ref.c_str());
+    for (const Figure& f : kFigures) {
+      std::printf("%-28s %s\n", f.name, f.ref);
     }
     return 0;
   }
 
-  // Resolve scheduler settings (flags beat the environment) before the
-  // first submission; the env path is handled by SharedSweep itself.
-  const char* env_dir = std::getenv("MACARON_RESULT_CACHE");
-  std::string dir = cache_dir_set ? cache_dir : (env_dir != nullptr ? env_dir : ".macaron-results");
-  if (dir == "off" || dir == "0") {
-    dir.clear();
+  if (cache_dir == "off" || cache_dir == "0") {
+    cache_dir.clear();  // persistence disabled
   }
-  if (threads >= 1 || cache_dir_set || metrics) {
-    if (threads < 1) {
-      const char* s = std::getenv("MACARON_SWEEP_THREADS");
-      threads = (s != nullptr && std::atoi(s) >= 1) ? std::atoi(s)
-                                                    : ThreadPool::HardwareConcurrency();
-    }
-    bench::ConfigureSweep(threads, dir, metrics ? metrics_dir : "");
-  }
-  if (cold && !dir.empty()) {
-    const int removed = WipeStore(dir);
+  bench::ConfigureSweep(threads, cache_dir, metrics ? metrics_dir : "");
+  if (cold && !cache_dir.empty()) {
+    const int removed = WipeStore(cache_dir);
     std::fprintf(stderr, "bench_all: --cold removed %d cached results from %s\n", removed,
-                 dir.c_str());
+                 cache_dir.c_str());
   }
 
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<FigureTiming> timings;
   int failures = 0;
-  for (const bench::SuiteEntry& e : bench::Suite()) {
-    if (!only.empty()) {
-      bool match = false;
-      for (const std::string& pat : only) {
-        if (e.name.find(pat) != std::string::npos) {
-          match = true;
-          break;
-        }
-      }
-      if (!match) {
-        continue;
-      }
+  for (const Figure& f : kFigures) {
+    if (!only.empty() && std::none_of(only.begin(), only.end(), [&](const std::string& pat) {
+          return Matches(f, pat);
+        })) {
+      continue;
     }
     const auto fig_start = std::chrono::steady_clock::now();
     FigureTiming ft;
-    ft.name = e.name;
-    ft.exit_code = e.fn();
+    ft.name = f.name;
+    ft.exit_code = f.fn();
     ft.seconds = SecondsSince(fig_start);
     std::fflush(stdout);
-    std::fprintf(stderr, "bench_all: %-28s %7.2fs%s\n", e.name.c_str(), ft.seconds,
+    std::fprintf(stderr, "bench_all: %-28s %7.2fs%s\n", f.name, ft.seconds,
                  ft.exit_code == 0 ? "" : "  [nonzero exit]");
     if (ft.exit_code != 0) {
       ++failures;

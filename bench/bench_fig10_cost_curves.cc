@@ -71,5 +71,3 @@ int RunFig10CostCurves() {
               transplanted, own, transplanted / own);
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunFig10CostCurves)

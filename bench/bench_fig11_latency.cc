@@ -64,5 +64,3 @@ int RunFig11Latency() {
               cc_beats_replicated, traces);
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunFig11Latency)

@@ -59,5 +59,3 @@ int RunFig12aEgressSensitivity() {
               always_cheapest ? "reproduced" : "NOT reproduced");
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunFig12aEgressSensitivity)

@@ -48,5 +48,3 @@ int RunFig12bDarkData() {
               bench::Dollars(mac).c_str(), monotone ? "yes" : "NO");
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunFig12bDarkData)

@@ -72,5 +72,3 @@ int RunFig13Ttl() {
               "Macaron-TTL within -0.8..3.3%% of Macaron (17%% outlier on IBM 80).\n");
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunFig13Ttl)

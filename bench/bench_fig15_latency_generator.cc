@@ -44,5 +44,3 @@ int RunFig15LatencyGenerator() {
               mape * 100);
   return mape < 0.05 ? 0 : 1;
 }
-
-MACARON_BENCH_MAIN(RunFig15LatencyGenerator)

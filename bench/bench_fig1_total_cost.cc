@@ -60,5 +60,3 @@ int RunFig1TotalCost() {
   std::printf("Paper: 73%% vs Remote, 81%% vs Replicated, 66%% vs ECPC, oracle gap ~9%%.\n");
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunFig1TotalCost)

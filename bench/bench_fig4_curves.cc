@@ -76,5 +76,3 @@ int RunFig4Curves() {
               "hot set fits.\n");
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunFig4Curves)

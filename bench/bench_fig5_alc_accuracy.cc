@@ -189,5 +189,3 @@ int RunFig5AlcAccuracy() {
               ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }
-
-MACARON_BENCH_MAIN(RunFig5AlcAccuracy)

@@ -78,5 +78,3 @@ int RunFig7CostBreakdown() {
               "67%% / 78%% on low-compulsory traces, with IBM 27/66/96 near break-even.\n");
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunFig7CostBreakdown)

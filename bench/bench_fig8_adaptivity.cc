@@ -59,5 +59,3 @@ int RunFig8Adaptivity() {
               default_wins, pairs.size());
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunFig8Adaptivity)

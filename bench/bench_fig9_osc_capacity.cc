@@ -74,5 +74,3 @@ int RunFig9OscCapacity() {
               changes, count);
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunFig9OscCapacity)

@@ -299,7 +299,7 @@ BENCHMARK(BM_CacheCoreBankWindowReplay)->Arg(48)->Unit(benchmark::kMillisecond);
 // admission (hash once), SoA batch buffering, and the policy-templated
 // ReplayMiniSim kernel across every grid point. The BM_MiniSimWindow* group
 // measures each bank's end-to-end window cost; the per-policy MRC variants
-// show the devirtualized kernels previously exclusive to LRU (AsLruCache).
+// show each policy's devirtualized kernel.
 
 const std::vector<Request>& MiniSimWindowStream() {
   static const std::vector<Request>* window = [] {
@@ -329,6 +329,26 @@ void BM_MiniSimWindowMrc(benchmark::State& state) {
   state.SetLabel(EvictionPolicyName(kind));
 }
 BENCHMARK(BM_MiniSimWindowMrc)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
+
+// The same LRU window with the bank's grid replay fanned across a 4-worker
+// pool (the local analogue of the paper's serverless fan-out, §6.3). Wall
+// time: the work runs on the pool's threads. On one core it measures only
+// the fan-out overhead; the curves' bit-identity to the sequential bank is
+// ParallelDeterminismTest.MrcBankBitIdenticalToSequential.
+void BM_MiniSimWindowMrcPooled(benchmark::State& state) {
+  MrcBank bank(UniformSizeGrid(50'000'000, 5'000'000'000, 48), 0.05, 7);
+  ThreadPool pool(4);
+  bank.set_thread_pool(&pool);
+  for (auto _ : state) {
+    for (const Request& r : MiniSimWindowStream()) {
+      bank.Process(r);
+    }
+    bank.EndWindow();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(MiniSimWindowStream().size()));
+}
+BENCHMARK(BM_MiniSimWindowMrcPooled)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_MiniSimWindowTtl(benchmark::State& state) {
   TtlBank bank(StandardTtlGrid(7 * kDay), 0.05, 7);

@@ -257,5 +257,3 @@ int RunRegretEconomics() {
               fan_exact > 0 ? 100.0 * (fan_macaron - fan_exact) / fan_exact : 0.0);
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunRegretEconomics)

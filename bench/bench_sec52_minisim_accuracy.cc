@@ -96,5 +96,3 @@ int RunSec52MinisimAccuracy() {
   }
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunSec52MinisimAccuracy)

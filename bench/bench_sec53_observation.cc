@@ -58,5 +58,3 @@ int RunSec53Observation() {
               bench::Percent(1.0 - sum_all / sum_none).c_str());
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunSec53Observation)

@@ -56,5 +56,3 @@ int RunSec73ReconfigWindow() {
               bench::Percent(1.0 - sum15 / sum_static).c_str());
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunSec73ReconfigWindow)

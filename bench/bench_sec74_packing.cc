@@ -62,5 +62,3 @@ int RunSec74Packing() {
               "of cross-cloud totals, 8%% cross-region.\n");
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunSec74Packing)

@@ -33,5 +33,3 @@ int RunSec77Overhead() {
               worst_share * 100);
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunSec77Overhead)

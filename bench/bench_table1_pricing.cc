@@ -41,5 +41,3 @@ int RunTable1Pricing() {
               DurationDays(aws_r.StorageEgressBreakEven()));
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunTable1Pricing)

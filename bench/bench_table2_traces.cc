@@ -28,5 +28,3 @@ int RunTable2Traces() {
               "compulsory misses; VMware tiny dataset with extreme reuse.\n");
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunTable2Traces)

@@ -75,5 +75,3 @@ int RunTable3Validation() {
   std::printf("Paper: end-to-end reconfiguration 6-418 s (avg 71 s), <9%% of runtime.\n");
   return 0;
 }
-
-MACARON_BENCH_MAIN(RunTable3Validation)

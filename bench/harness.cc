@@ -2,13 +2,12 @@
 
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <utility>
 
-#include "src/common/thread_pool.h"
+#include "src/common/check.h"
 #include "src/trace/splitter.h"
 #include "src/trace/stream_source.h"
 
@@ -17,74 +16,31 @@ namespace bench {
 
 namespace {
 
-// Bounded trace cache. A generating entry exists with a null trace so
-// concurrent callers for the same name block on one generation (the
-// condition variable replaces the old per-entry once_flag, which could not
-// support regeneration after eviction). Unpinned entries evict LRU when the
-// byte budget is exceeded; callers hold shared_ptrs, so eviction only drops
-// the cache's reference — nothing is freed mid-replay.
-struct TraceCache {
-  struct Entry {
-    std::shared_ptr<const Trace> trace;  // null while generating
-    uint64_t bytes = 0;
-    uint64_t last_use = 0;
-  };
+// Generate-once trace memo. An entry with a null trace marks a generation in
+// progress, so concurrent callers for the same name block on one generation.
+// Entries are never dropped: every trace lives for the process lifetime.
+struct TraceMemo {
   std::mutex mu;
   std::condition_variable cv;
-  std::map<std::string, Entry> entries;
-  uint64_t total_bytes = 0;
-  uint64_t use_counter = 0;
+  std::map<std::string, std::shared_ptr<const Trace>> traces;
 };
-TraceCache* g_trace_cache = new TraceCache();
+TraceMemo* g_traces = new TraceMemo();
 
-// Approximate bytes cached per trace (unlimited when unset or 0).
-uint64_t EnvTraceCacheBytes() {
-  const char* s = std::getenv("MACARON_TRACE_CACHE_BYTES");
-  if (s == nullptr || *s == '\0') {
-    return 0;
-  }
-  return std::strtoull(s, nullptr, 10);
-}
-
-// Drops least-recently-used completed entries until the budget holds (the
-// just-inserted `keep` is exempt — evicting it would thrash). Caller holds
-// the cache mutex.
-void EvictTracesLocked(TraceCache& c, uint64_t budget, const std::string& keep) {
-  while (c.total_bytes > budget) {
-    auto victim = c.entries.end();
-    for (auto it = c.entries.begin(); it != c.entries.end(); ++it) {
-      if (it->second.trace == nullptr || it->first == keep) {
-        continue;  // generating entries and the fresh insert stay
-      }
-      if (victim == c.entries.end() || it->second.last_use < victim->second.last_use) {
-        victim = it;
-      }
-    }
-    if (victim == c.entries.end()) {
-      return;  // nothing evictable left
-    }
-    c.total_bytes -= victim->second.bytes;
-    c.entries.erase(victim);
-  }
-}
-
-}  // namespace
-
+// Shared-ownership form backing the sweep's trace provider.
 std::shared_ptr<const Trace> GetTraceShared(const std::string& name) {
-  TraceCache& c = *g_trace_cache;
-  std::unique_lock<std::mutex> lock(c.mu);
+  TraceMemo& m = *g_traces;
+  std::unique_lock<std::mutex> lock(m.mu);
   for (;;) {
-    auto it = c.entries.find(name);
-    if (it == c.entries.end()) {
+    auto it = m.traces.find(name);
+    if (it == m.traces.end()) {
       break;  // this caller generates
     }
-    if (it->second.trace != nullptr) {
-      it->second.last_use = ++c.use_counter;
-      return it->second.trace;
+    if (it->second != nullptr) {
+      return it->second;
     }
-    c.cv.wait(lock);  // another caller is generating this name
+    m.cv.wait(lock);  // another caller is generating this name
   }
-  c.entries[name];  // placeholder: trace == nullptr marks "generating"
+  m.traces[name];  // placeholder: null marks "generating"
   lock.unlock();
 
   // Generation runs outside the lock: distinct workloads generate
@@ -92,32 +48,16 @@ std::shared_ptr<const Trace> GetTraceShared(const std::string& name) {
   const WorkloadProfile p = ProfileByName(name);
   auto trace =
       std::make_shared<const Trace>(SplitObjects(GenerateTrace(p), p.max_object_bytes));
-  const uint64_t bytes = trace->requests.size() * sizeof(Request) + sizeof(Trace);
 
   lock.lock();
-  TraceCache::Entry& entry = c.entries[name];
-  entry.trace = trace;
-  entry.bytes = bytes;
-  entry.last_use = ++c.use_counter;
-  c.total_bytes += bytes;
-  const uint64_t budget = EnvTraceCacheBytes();
-  if (budget > 0) {
-    EvictTracesLocked(c, budget, name);
-  }
-  c.cv.notify_all();
+  m.traces[name] = trace;
+  m.cv.notify_all();
   return trace;
 }
 
-const Trace& GetTrace(const std::string& name) {
-  // Pinning map: holding the shared_ptr forever keeps the returned
-  // reference valid for the process lifetime regardless of cache eviction.
-  static std::mutex pin_mu;
-  static auto* pinned = new std::map<std::string, std::shared_ptr<const Trace>>();
-  std::shared_ptr<const Trace> trace = GetTraceShared(name);
-  std::lock_guard<std::mutex> lock(pin_mu);
-  auto [it, inserted] = pinned->emplace(name, std::move(trace));
-  return *it->second;
-}
+}  // namespace
+
+const Trace& GetTrace(const std::string& name) { return *GetTraceShared(name); }
 
 std::vector<std::string> AllTraceNames() {
   std::vector<std::string> names;
@@ -152,60 +92,23 @@ namespace {
 
 std::mutex g_sweep_mu;
 std::unique_ptr<sweep::SweepScheduler>* g_sweep = new std::unique_ptr<sweep::SweepScheduler>();
-bool g_configured = false;
-int g_threads = 0;
-std::string* g_cache_dir = new std::string();
-std::string* g_obs_dir = new std::string();
-
-int EnvThreads() {
-  const char* s = std::getenv("MACARON_SWEEP_THREADS");
-  if (s != nullptr && *s != '\0') {
-    const int v = std::atoi(s);
-    if (v >= 1) {
-      return v;
-    }
-  }
-  return ThreadPool::HardwareConcurrency();
-}
-
-std::string EnvCacheDir() {
-  const char* s = std::getenv("MACARON_RESULT_CACHE");
-  if (s == nullptr) {
-    return ".macaron-results";
-  }
-  const std::string v = s;
-  if (v.empty() || v == "off" || v == "0") {
-    return "";  // persistence disabled
-  }
-  return v;
-}
-
-std::string EnvObsDir() {
-  const char* s = std::getenv("MACARON_OBS_DIR");
-  return s != nullptr ? s : "";  // empty: observability disabled
-}
 
 }  // namespace
 
 void ConfigureSweep(int threads, const std::string& cache_dir, const std::string& obs_dir) {
   std::lock_guard<std::mutex> lock(g_sweep_mu);
   g_sweep->reset();  // drains any existing scheduler first
-  g_threads = threads;
-  *g_cache_dir = cache_dir;
-  *g_obs_dir = obs_dir;
-  g_configured = true;
+  sweep::SweepScheduler::Options opt;
+  opt.threads = threads;
+  opt.store_dir = cache_dir;
+  opt.obs_dir = obs_dir;
+  opt.trace_provider = [](const std::string& n) { return GetTraceShared(n); };
+  *g_sweep = std::make_unique<sweep::SweepScheduler>(std::move(opt));
 }
 
 sweep::SweepScheduler& SharedSweep() {
   std::lock_guard<std::mutex> lock(g_sweep_mu);
-  if (*g_sweep == nullptr) {
-    sweep::SweepScheduler::Options opt;
-    opt.threads = g_configured ? g_threads : EnvThreads();
-    opt.store_dir = g_configured ? *g_cache_dir : EnvCacheDir();
-    opt.obs_dir = g_configured ? *g_obs_dir : EnvObsDir();
-    opt.trace_provider = [](const std::string& n) { return GetTraceShared(n); };
-    *g_sweep = std::make_unique<sweep::SweepScheduler>(std::move(opt));
-  }
+  MACARON_CHECK(*g_sweep != nullptr);  // ConfigureSweep must run first
   return **g_sweep;
 }
 
@@ -224,26 +127,6 @@ size_t Submit(Trace trace, const EngineConfig& config, sweep::JobEngine engine) 
   auto owned = std::make_shared<const Trace>(std::move(trace));
   spec.trace_name = owned->name;
   spec.trace = std::move(owned);
-  spec.config = config;
-  spec.engine = engine;
-  return SharedSweep().Submit(std::move(spec));
-}
-
-size_t SubmitColumnar(const std::string& path, const EngineConfig& config,
-                      sweep::JobEngine engine) {
-  sweep::SweepJobSpec spec;
-  spec.trace_path = path;
-  spec.trace_identity = sweep::FingerprintColumnarFile(path);
-  spec.config = config;
-  spec.engine = engine;
-  return SharedSweep().Submit(std::move(spec));
-}
-
-size_t SubmitStream(const StreamProfile& profile, const EngineConfig& config,
-                    sweep::JobEngine engine) {
-  sweep::SweepJobSpec spec;
-  spec.stream = profile;
-  spec.trace_identity = sweep::FingerprintStreamProfile(profile);
   spec.config = config;
   spec.engine = engine;
   return SharedSweep().Submit(std::move(spec));

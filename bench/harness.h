@@ -1,6 +1,6 @@
 // Shared helpers for the experiment harnesses.
 //
-// Each bench binary regenerates one table or figure from the paper: it
+// Each figure harness regenerates one table or figure from the paper: it
 // builds the synthetic trace suite, runs the relevant approaches, and prints
 // the same rows/series the paper reports. Absolute dollar values differ
 // from the paper (traces are synthetic and byte-scaled); the shapes —
@@ -11,8 +11,8 @@
 // submit their full (trace, config) grid up front, then collect results by
 // submission index, so rows print bit-identically to a serial run while the
 // actual simulations fan out across cores and memoize into the persistent
-// result cache. Thread count and cache directory come from the environment
-// (MACARON_SWEEP_THREADS, MACARON_RESULT_CACHE) or from ConfigureSweep.
+// result cache. bench_all sets the thread count, cache directory and
+// observability directory from its flags through ConfigureSweep.
 
 #ifndef MACARON_BENCH_HARNESS_H_
 #define MACARON_BENCH_HARNESS_H_
@@ -31,18 +31,11 @@
 namespace macaron {
 namespace bench {
 
-// Generates (and memoizes) the split trace for a workload profile name.
-// Thread-safe: concurrent callers for the same name block on one generation.
-// The returned reference is pinned for the process lifetime (never evicted).
+// Generates (and memoizes) the split trace for a workload profile name; the
+// sweep's trace provider resolves names through the same memo. Thread-safe:
+// concurrent callers for the same name block on one generation. Traces are
+// never dropped, so the reference stays valid for the process lifetime.
 const Trace& GetTrace(const std::string& name);
-
-// Shared-ownership form backing the sweep's trace provider. Entries live in
-// a cache bounded by MACARON_TRACE_CACHE_BYTES (approximate request-record
-// bytes; unset or 0 = unbounded): when the budget is exceeded, the
-// least-recently-used unpinned traces are dropped and regenerate on next
-// use. Callers keep their shared_ptr alive across use — eviction can never
-// free a trace someone is still replaying.
-std::shared_ptr<const Trace> GetTraceShared(const std::string& name);
 
 // Names of all 19 workloads / the 15 IBM workloads.
 std::vector<std::string> AllTraceNames();
@@ -52,20 +45,16 @@ std::vector<std::string> IbmTraceNames();
 EngineConfig DefaultConfig(Approach a, DeploymentScenario scenario,
                            bool measure_latency = false);
 
-// The process-wide sweep scheduler every bench binary submits through.
-// Created on first use from the environment (MACARON_SWEEP_THREADS,
-// MACARON_RESULT_CACHE — empty/"off"/"0" disables persistence, default
-// ".macaron-results"; MACARON_OBS_DIR — empty/unset disables observability
-// output) unless ConfigureSweep ran first.
+// The process-wide sweep scheduler every figure submits through. Aborts if
+// ConfigureSweep has not run.
 sweep::SweepScheduler& SharedSweep();
 
-// Overrides the shared scheduler's thread count, cache directory, and
-// observability output directory (empty disables; MACARON_OBS_DIR is the
-// environment fallback when ConfigureSweep never runs). Call before the
-// first submission (bench_all does); any scheduler already created is torn
-// down, invalidating outstanding job indices.
-void ConfigureSweep(int threads, const std::string& cache_dir,
-                    const std::string& obs_dir = "");
+// Creates the shared scheduler with `threads` workers, persistent result
+// store `cache_dir` and observability output directory `obs_dir` (either
+// empty disables it). Call before the first submission (bench_all does);
+// any scheduler already created is torn down, invalidating outstanding job
+// indices.
+void ConfigureSweep(int threads, const std::string& cache_dir, const std::string& obs_dir);
 
 // Submits one job against a named workload (no trace generation happens at
 // submit time; workers resolve the name through GetTrace). Returns the job
@@ -77,17 +66,6 @@ size_t Submit(const std::string& trace_name, const EngineConfig& config,
 // value: move in a temporary, or copy a retained trace.
 size_t Submit(Trace trace, const EngineConfig& config,
               sweep::JobEngine engine = sweep::JobEngine::kReplay);
-
-// Submits one job streaming a columnar (MCTC) trace file (keyed by the
-// file's chunk-directory hash). The trace is replayed chunk by chunk in
-// O(chunk) memory; oracle jobs materialize it on the worker.
-size_t SubmitColumnar(const std::string& path, const EngineConfig& config,
-                      sweep::JobEngine engine = sweep::JobEngine::kReplay);
-
-// Submits one job over a streamed synthetic workload (keyed by the profile
-// parameters; see stream_source.h). Bounded memory at any request count.
-size_t SubmitStream(const StreamProfile& profile, const EngineConfig& config,
-                    sweep::JobEngine engine = sweep::JobEngine::kReplay);
 
 // Convenience: named workload under the default config.
 size_t Submit(const std::string& trace_name, Approach a, DeploymentScenario scenario,
@@ -157,21 +135,5 @@ void WarnIfUnoptimizedBuild(const char* binary);
 
 }  // namespace bench
 }  // namespace macaron
-
-// Every bench .cc defines `int RunX()` and closes with MACARON_BENCH_MAIN(RunX).
-// Standalone binaries get a main() from the macro; the bench_all suite library
-// compiles the same sources with -DMACARON_BENCH_SUITE (macro expands to
-// nothing) and calls the RunX functions through the bench/suite.h registry.
-// Every entry point warns (stderr) when the binary was built without
-// optimization, so timings from a debug build can't be mistaken for real.
-#ifdef MACARON_BENCH_SUITE
-#define MACARON_BENCH_MAIN(fn)
-#else
-#define MACARON_BENCH_MAIN(fn)                            \
-  int main() {                                            \
-    ::macaron::bench::WarnIfUnoptimizedBuild(#fn);        \
-    return fn();                                          \
-  }
-#endif
 
 #endif  // MACARON_BENCH_HARNESS_H_

@@ -59,9 +59,6 @@ class LruCache {
   // Changes capacity; evicts immediately if shrinking.
   void Resize(uint64_t capacity_bytes);
 
-  // Pre-sizes the slab and index for `n` entries (optional).
-  void ReserveEntries(size_t n);
-
   uint64_t capacity() const { return capacity_; }
   uint64_t used_bytes() const { return used_; }
   size_t num_entries() const { return index_.size(); }

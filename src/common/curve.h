@@ -6,8 +6,8 @@
 #ifndef MACARON_SRC_COMMON_CURVE_H_
 #define MACARON_SRC_COMMON_CURVE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace macaron {
@@ -17,9 +17,6 @@ class Curve {
  public:
   Curve() = default;
   Curve(std::vector<double> xs, std::vector<double> ys);
-
-  static Curve FromFunction(const std::vector<double>& xs,
-                            const std::function<double(double)>& fn);
 
   bool empty() const { return xs_.empty(); }
   size_t size() const { return xs_.size(); }

@@ -1,26 +1,12 @@
 #include "src/obs/metrics.h"
 
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 
 #include "src/common/check.h"
+#include "src/common/format.h"
 
 namespace macaron {
 namespace obs {
-
-namespace {
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  *out += buf;
-}
-
-}  // namespace
 
 const MetricsRegistry::Entry* MetricsRegistry::Find(std::string_view component,
                                                     std::string_view name) const {

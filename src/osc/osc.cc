@@ -7,12 +7,18 @@
 
 namespace macaron {
 
+namespace {
+
+// GC a closed block once dead bytes reach this fraction of its bytes.
+constexpr double kGcDeadFraction = 0.5;
+
+}  // namespace
+
 ObjectStorageCache::ObjectStorageCache(const PackingConfig& config)
     : config_(config),
       order_(MakeEvictionCache(config.policy, std::numeric_limits<uint64_t>::max() / 2)) {
   MACARON_CHECK(config.block_bytes > 0);
   MACARON_CHECK(config.max_objects_per_block > 0);
-  MACARON_CHECK(config.gc_dead_fraction > 0.0 && config.gc_dead_fraction <= 1.0);
 }
 
 bool ObjectStorageCache::LookupPrehashed(ObjectId id, uint64_t h) {
@@ -116,7 +122,7 @@ void ObjectStorageCache::MaybeScheduleGc(uint64_t block_id) {
   }
   const double dead_fraction =
       static_cast<double>(it->second.dead_bytes) / static_cast<double>(it->second.bytes);
-  if (dead_fraction >= config_.gc_dead_fraction) {
+  if (dead_fraction >= kGcDeadFraction) {
     gc_list_.insert(block_id);
   }
 }

@@ -34,8 +34,6 @@ struct PackingConfig {
   uint32_t max_objects_per_block = 40;
   // Replacement policy ordering lazy eviction (LRU by default, §4.2).
   EvictionPolicyKind policy = EvictionPolicyKind::kLru;
-  // GC a closed block once dead bytes reach this fraction of its bytes.
-  double gc_dead_fraction = 0.5;
   // Disable packing entirely (one PUT per object) for the §7.4 ablation.
   bool packing_enabled = true;
 };

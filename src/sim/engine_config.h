@@ -108,7 +108,6 @@ struct EngineConfig {
   // stop admitting objects into the OSC (saving packing PUTs and capacity)
   // until the optimizer asks for a larger cache again.
   bool enable_admission_bypass = false;
-  int admission_bypass_windows = 3;
 
   // Total-data-size hint for the mini-cache grid; 0 = derive from the trace.
   uint64_t dataset_bytes_hint = 0;

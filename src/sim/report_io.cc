@@ -2,23 +2,15 @@
 
 #include <bit>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <vector>
 
+#include "src/common/format.h"
+
 namespace macaron {
 
 namespace {
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  *out += buf;
-}
 
 // Little helpers for the binary blob: native-endian fixed-width fields
 // appended to a string, and a bounds-checked cursor for reading them back.

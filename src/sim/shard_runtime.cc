@@ -111,6 +111,10 @@ std::string RunResult::Summary() const {
 
 namespace {
 
+// Admission bypass engages after this many consecutive windows in which even
+// the best cache configuration costs about as much as serving remotely.
+constexpr int kAdmissionBypassWindows = 3;
+
 // Where the AWS prototype differs from an instantaneous replay: one field
 // per deliberate engine difference (DESIGN.md "Deliberate engine
 // differences"). Exactly two presets exist, one per engine entry point; the
@@ -945,7 +949,7 @@ void ShardRuntime::ApplyDecision(SimTime t, const ReconfigDecision& d) {
     } else {
       min_capacity_streak_ = 0;
     }
-    admission_bypass_ = min_capacity_streak_ >= cfg_.admission_bypass_windows;
+    admission_bypass_ = min_capacity_streak_ >= kAdmissionBypassWindows;
   }
 }
 

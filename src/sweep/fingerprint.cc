@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "src/common/hash.h"
 #include "src/trace/columnar_io.h"
 
 namespace macaron {
@@ -29,12 +30,7 @@ void FingerprintHasher::MixF64(double v) {
 
 void FingerprintHasher::MixStr(std::string_view s) {
   MixU64(s.size());
-  // FNV-1a over the bytes, folded into both lanes at the end.
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : s) {
-    h = (h ^ c) * 0x100000001b3ull;
-  }
-  MixU64(h);
+  MixU64(Fnv1a64(s));  // folded into both lanes
 }
 
 namespace {
@@ -60,7 +56,6 @@ void MixPacking(FingerprintHasher& h, const PackingConfig& p) {
   h.MixU64(p.block_bytes);
   h.MixU64(p.max_objects_per_block);
   h.MixI32(static_cast<int32_t>(p.policy));
-  h.MixF64(p.gc_dead_fraction);
   h.MixBool(p.packing_enabled);
 }
 
@@ -92,7 +87,6 @@ Fingerprint FingerprintEngineConfig(const EngineConfig& c) {
   MixPacking(h, c.packing);
   h.MixBool(c.enable_priming);
   h.MixBool(c.enable_admission_bypass);
-  h.MixI32(c.admission_bypass_windows);
   h.MixU64(c.dataset_bytes_hint);
   h.MixU64(c.min_minicache_bytes);
   h.MixF64(c.infra_scale);

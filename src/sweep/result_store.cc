@@ -8,6 +8,8 @@
 #include <string>
 #include <system_error>
 
+#include "src/common/bytes.h"
+#include "src/common/hash.h"
 #include "src/sim/report_io.h"
 
 namespace macaron {
@@ -22,28 +24,6 @@ namespace {
 constexpr char kMagic[8] = {'M', 'R', 'S', 'F', '0', '0', '0', '1'};
 constexpr size_t kHeaderBytes = sizeof(kMagic) + 8 + 8;
 
-uint64_t Fnv1a(std::string_view bytes) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : bytes) {
-    h = (h ^ c) * 0x100000001b3ull;
-  }
-  return h;
-}
-
-void PutU64Le(uint64_t v, char* out) {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-}
-
-uint64_t GetU64Le(const char* in) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(in[i])) << (8 * i);
-  }
-  return v;
-}
-
 bool WriteFramed(const std::string& payload, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
@@ -51,8 +31,8 @@ bool WriteFramed(const std::string& payload, const std::string& path) {
   }
   char header[kHeaderBytes];
   std::memcpy(header, kMagic, sizeof(kMagic));
-  PutU64Le(payload.size(), header + sizeof(kMagic));
-  PutU64Le(Fnv1a(payload), header + sizeof(kMagic) + 8);
+  StoreU64Le(header + sizeof(kMagic), payload.size());
+  StoreU64Le(header + sizeof(kMagic) + 8, Fnv1a64(payload));
   const bool ok = std::fwrite(header, 1, kHeaderBytes, f) == kHeaderBytes &&
                   std::fwrite(payload.data(), 1, payload.size(), f) == payload.size();
   const bool closed = std::fclose(f) == 0;
@@ -70,8 +50,8 @@ bool ReadFramed(const std::string& path, std::string* payload) {
     std::fclose(f);
     return false;
   }
-  const uint64_t size = GetU64Le(header + sizeof(kMagic));
-  const uint64_t checksum = GetU64Le(header + sizeof(kMagic) + 8);
+  const uint64_t size = LoadU64Le(header + sizeof(kMagic));
+  const uint64_t checksum = LoadU64Le(header + sizeof(kMagic) + 8);
   // Size sanity cap: a RunResult blob is dominated by its latency samples;
   // even pathological runs stay far under this. Rejecting absurd headers
   // here avoids attempting a multi-gigabyte allocation on a corrupt file.
@@ -85,7 +65,7 @@ bool ReadFramed(const std::string& path, std::string* payload) {
       std::fread(payload->data(), 1, payload->size(), f) == payload->size() &&
       std::fgetc(f) == EOF;  // trailing bytes mean a foreign/torn file
   std::fclose(f);
-  return read_ok && Fnv1a(*payload) == checksum;
+  return read_ok && Fnv1a64(*payload) == checksum;
 }
 
 }  // namespace

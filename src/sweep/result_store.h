@@ -1,9 +1,9 @@
 // Persistent, content-addressed store of RunResults.
 //
 // One file per job fingerprint (`<dir>/<32-hex>.run`, the binary blob from
-// report_io). A figure binary that re-runs — or a different binary whose
-// sweep shares jobs with an earlier one — loads the finished result instead
-// of replaying the trace. Invalidation is purely key-based: results are
+// report_io). A figure that re-runs — or a different figure whose sweep
+// shares jobs with an earlier one — loads the finished result instead of
+// replaying the trace. Invalidation is purely key-based: results are
 // never patched in place, so a changed config, trace, or version salt simply
 // misses and recomputes under a new key. Deleting the directory (or any
 // *.run file) forces a cold run.

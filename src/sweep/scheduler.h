@@ -107,9 +107,8 @@ class SweepScheduler {
     std::string store_dir;
     // Resolves trace names for jobs submitted without an explicit trace.
     // Called from worker threads; must be thread-safe. Returns shared
-    // ownership so a provider may evict its own cache (the bench harness
-    // caps it via MACARON_TRACE_CACHE_BYTES) while jobs still hold the
-    // traces they are replaying.
+    // ownership, so a provider may drop a trace from its own cache while a
+    // job still replays it (the bench harness's memo never drops any).
     std::function<std::shared_ptr<const Trace>(const std::string&)> trace_provider;
     // Observability output directory; empty (the default) disables. When
     // set, every executed replay/event job runs with a decision trace and

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "src/common/bytes.h"
 #include "src/common/hash.h"
 
 namespace macaron {
@@ -22,35 +23,17 @@ constexpr size_t kTrailerBytes = 8 + 8 + sizeof(kEndMagic);
 constexpr uint64_t kMaxFooterBytes = 1ull << 32;
 constexpr uint64_t kMaxChunkBytes = 1ull << 32;
 
-uint64_t Fnv1a(std::string_view bytes) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : bytes) {
-    h = (h ^ c) * 0x100000001b3ull;
-  }
-  return h;
-}
-
 void AppendU64Le(std::string& out, uint64_t v) {
   char b[8];
-  for (int i = 0; i < 8; ++i) {
-    b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
+  StoreU64Le(b, v);
   out.append(b, 8);
-}
-
-uint64_t GetU64Le(const char* in) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(in[i])) << (8 * i);
-  }
-  return v;
 }
 
 bool ReadU64Le(const char*& p, const char* end, uint64_t* out) {
   if (end - p < 8) {
     return false;
   }
-  *out = GetU64Le(p);
+  *out = LoadU64Le(p);
   p += 8;
   return true;
 }
@@ -208,8 +191,8 @@ bool LoadFooter(std::FILE* f, const std::string& path, std::string* footer,
     SetError(error, "mctc: " + path + ": missing end magic (torn or foreign file)");
     return false;
   }
-  const uint64_t footer_bytes = GetU64Le(trailer);
-  const uint64_t footer_fnv = GetU64Le(trailer + 8);
+  const uint64_t footer_bytes = LoadU64Le(trailer);
+  const uint64_t footer_fnv = LoadU64Le(trailer + 8);
   if (footer_bytes > kMaxFooterBytes ||
       footer_bytes + kHeaderBytes + kTrailerBytes > static_cast<uint64_t>(file_end)) {
     SetError(error, "mctc: " + path + ": implausible footer size");
@@ -221,7 +204,7 @@ bool LoadFooter(std::FILE* f, const std::string& path, std::string* footer,
     SetError(error, "mctc: " + path + ": footer read failed");
     return false;
   }
-  if (Fnv1a(*footer) != footer_fnv) {
+  if (Fnv1a64(*footer) != footer_fnv) {
     SetError(error, "mctc: " + path + ": footer checksum mismatch");
     return false;
   }
@@ -298,7 +281,7 @@ void ColumnarTraceWriter::FlushChunk() {
   meta.count = pending_.size();
   meta.min_time = pending_.front().time;
   meta.max_time = pending_.back().time;
-  meta.fnv = Fnv1a(payload_);
+  meta.fnv = Fnv1a64(payload_);
   if (std::fwrite(payload_.data(), 1, payload_.size(), file_) != payload_.size()) {
     Fail("mctc: chunk write failed");
     return;
@@ -352,7 +335,7 @@ bool ColumnarTraceWriter::Finish() {
 
   std::string trailer;
   AppendU64Le(trailer, footer.size());
-  AppendU64Le(trailer, Fnv1a(footer));
+  AppendU64Le(trailer, Fnv1a64(footer));
   trailer.append(kEndMagic, sizeof(kEndMagic));
   if (std::fwrite(footer.data(), 1, footer.size(), file_) != footer.size() ||
       std::fwrite(trailer.data(), 1, trailer.size(), file_) != trailer.size()) {
@@ -497,7 +480,7 @@ bool ColumnarTraceSource::FillNext(ReplayBatch* out) {
     throw std::runtime_error("mctc: " + path_ + ": chunk " + std::to_string(next_chunk_) +
                              " read failed (truncated file)");
   }
-  if (Fnv1a(payload_) != m.fnv) {
+  if (Fnv1a64(payload_) != m.fnv) {
     throw std::runtime_error("mctc: " + path_ + ": chunk " + std::to_string(next_chunk_) +
                              " checksum mismatch");
   }
@@ -548,12 +531,12 @@ bool ColumnarTraceIdentity(const std::string& path, uint64_t identity[2], std::s
   }
   // Two independent lanes over the validated footer payload (which pins the
   // per-chunk checksums): FNV-1a plus a chained Mix64 over 8-byte words.
-  identity[0] = Fnv1a(footer);
+  identity[0] = Fnv1a64(footer);
   uint64_t h = 0x9ae16a3b2f90404full ^ footer.size();
   for (size_t i = 0; i < footer.size(); i += 8) {
     char word[8] = {0};
     std::memcpy(word, footer.data() + i, std::min<size_t>(8, footer.size() - i));
-    h = HashCombine(h, GetU64Le(word));
+    h = HashCombine(h, LoadU64Le(word));
   }
   identity[1] = h;
   return true;

@@ -360,11 +360,6 @@ TEST(CurveTest, ScaledAndPlus) {
   EXPECT_DOUBLE_EQ(sum.y(1), 24.0);
 }
 
-TEST(CurveTest, FromFunction) {
-  const Curve c = Curve::FromFunction({1.0, 2.0, 3.0}, [](double x) { return x * x; });
-  EXPECT_DOUBLE_EQ(c.y(2), 9.0);
-}
-
 TEST(DecayedCurveAverageTest, NoDecayIsWeightedAverage) {
   DecayedCurveAverage avg(1.0);
   avg.Add(Curve({1.0}, {10.0}), 1.0, 0.0);
